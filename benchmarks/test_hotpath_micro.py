@@ -51,8 +51,24 @@ def test_encode_frames_window(benchmark, window_blocks):
     assert sum(map(len, frames)) < sum(map(len, deltas))
 
 
-def test_decode_xor_into_window(benchmark, window_blocks):
-    olds, news = window_blocks
+@pytest.fixture(scope="module")
+def many_literal_blocks():
+    """A window of 8 KB (old, new) pairs, each changed in 64 short runs.
+
+    This is the TPC-C page-flush shape: a frame carries tens of literals
+    spread over the page, not one contiguous dirty run.
+    """
+    rng = make_rng(13, "hotpath-many")
+    olds = [random_bytes(rng, 8192) for _ in range(WINDOW)]
+    news = [mutate_fraction(old, DIRTINESS, rng, runs=64) for old in olds]
+    return olds, news
+
+
+@pytest.mark.parametrize(
+    "blocks", ["window_blocks", "many_literal_blocks"], ids=["64k-1run", "8k-64runs"]
+)
+def test_decode_xor_into_window(benchmark, request, blocks):
+    olds, news = request.getfixturevalue(blocks)
     codec = get_codec("zero-rle")
     deltas = [xor_bytes(n, o) for n, o in zip(news, olds)]
     frames = encode_frames(codec, deltas)

@@ -65,9 +65,10 @@ class Codec(ABC):
         """Decode ``payload`` directly into the writable buffer ``out``.
 
         ``out`` must be exactly ``original_length`` bytes and is fully
-        overwritten.  The default materializes :meth:`decode` and copies;
-        sparse codecs override to scatter segments without building the
-        zero-filled intermediate.
+        overwritten.  A payload that raises :class:`CodecError` leaves
+        ``out`` unchanged: implementations validate the whole payload
+        before writing.  The default materializes :meth:`decode` and
+        copies.
         """
         view = _writable_view(out)
         view[:] = self.decode(payload, view.nbytes)
@@ -80,8 +81,9 @@ class Codec(ABC):
         This is the replica's Eq. 2 fast path: with ``out`` holding
         ``A_old``, the result is ``A_new`` without materializing either the
         full delta or an intermediate copy of the block.  Sparse codecs
-        override to XOR only the literal (changed) segments — the zero gaps
-        of the delta are XOR no-ops and never touch memory.
+        override to XOR only the changed part — the zero gaps of the delta
+        are XOR no-ops.  A payload that raises :class:`CodecError` leaves
+        ``out`` unchanged, so a replica never holds a half-applied block.
         """
         view = _writable_view(out)
         xor_into(view, self.decode(payload, view.nbytes))

@@ -71,46 +71,52 @@ class SparseSegmentCodec(Codec):
 
     def decode(self, payload: bytes, original_length: int) -> bytes:
         """Rebuild the delta by writing each segment into a zero buffer."""
-        out = bytearray(original_length)
-        self._apply(payload, _writable_view(out), xor=False)
-        return bytes(out)
+        return bytes(self._scatter(payload, original_length))
 
     def decode_into(
         self, payload: bytes, out: Union[bytearray, memoryview]
     ) -> None:
-        """Scatter segments directly into ``out``, zeroing the gaps."""
+        """Overwrite ``out`` with the delta, gaps zeroed."""
         view = _writable_view(out)
-        # Segments are emitted in ascending offset order by encode, but the
-        # format does not require it; zero the whole target first so any
-        # stale bytes between segments are cleared.
-        view[:] = bytes(view.nbytes)
-        self._apply(payload, view, xor=False)
+        view[:] = self._scatter(payload, view.nbytes)
 
     def decode_xor_into(
         self, payload: bytes, out: Union[bytearray, memoryview]
     ) -> None:
         """XOR only the stored segments into ``out`` (Eq. 2 fast path)."""
-        self._apply(payload, _writable_view(out), xor=True)
+        view = _writable_view(out)
+        for offset, pos, length in self._parse(payload, view.nbytes):
+            xor_into(view[offset : offset + length], payload[pos : pos + length])
 
-    def _apply(self, payload: bytes, view: memoryview, *, xor: bool) -> None:
-        """Walk the segment list, copying or XORing each into ``view``."""
-        original_length = view.nbytes
+    def _scatter(self, payload: bytes, n: int) -> bytearray:
+        """Write every segment into a fresh zeroed ``n``-byte delta."""
+        delta = bytearray(n)
+        for offset, pos, length in self._parse(payload, n):
+            delta[offset : offset + length] = payload[pos : pos + length]
+        return delta
+
+    def _parse(self, payload: bytes, n: int) -> list[tuple[int, int, int]]:
+        """Validate the whole segment list against ``n`` and the payload.
+
+        Returns ``(offset, payload_pos, length)`` per segment.  Callers
+        write only after this returns, so a malformed payload raises
+        :class:`CodecError` and leaves their target unchanged.
+        """
         if len(payload) < _COUNT.size:
             raise CodecError("sparse payload shorter than its count field")
         (count,) = _COUNT.unpack_from(payload, 0)
         pos = _COUNT.size
+        segments = []
         for _ in range(count):
             if pos + _HEADER.size > len(payload):
                 raise CodecError("truncated sparse segment header")
             offset, length = _HEADER.unpack_from(payload, pos)
             pos += _HEADER.size
-            if offset + length > original_length or pos + length > len(payload):
+            if offset + length > n or pos + length > len(payload):
                 raise CodecError("sparse segment overruns declared length")
-            if xor:
-                xor_into(view[offset : offset + length], payload[pos : pos + length])
-            else:
-                view[offset : offset + length] = payload[pos : pos + length]
+            segments.append((offset, pos, length))
             pos += length
+        return segments
 
 
 SPARSE = register_codec(SparseSegmentCodec())

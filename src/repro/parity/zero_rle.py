@@ -12,21 +12,27 @@ The encoder is a single vectorized pass: one boolean-diff span detection
 followed by one ``b"".join`` gather of varint headers and zero-copy literal
 views — no growing ``bytearray`` and no per-byte work.  The wire format is
 unchanged and byte-identical to the historical loop encoder.
+
+The three decoders share one parse, :meth:`ZeroRleCodec._scatter`.  It walks
+the records once, checks each against the target length and the payload
+length, and slice-assigns every literal into a fresh zeroed delta.
+``decode`` returns that delta, ``decode_into`` copies it with one
+slice-assign, and ``decode_xor_into`` (the replica's Eq. 2 step) applies it
+with one :func:`~repro.common.buffers.xor_into` over the dirty extent, from
+the first literal's start to the last literal's end.  A frame therefore
+costs one interpreted step per record plus a single XOR, not one numpy
+dispatch per literal.  The whole payload is validated before the target is
+touched, so a malformed payload raises :class:`CodecError` and leaves the
+target unchanged.
 """
 
 from __future__ import annotations
 
 from typing import Sequence, Union
 
-import numpy as np
-
 from repro.common.buffers import nonzero_spans, xor_into
 from repro.common.errors import CodecError
 from repro.parity.codecs import Buffer, Codec, _writable_view, register_codec
-
-#: Below this target size the per-literal :func:`xor_into` loop wins over
-#: hoisting numpy views of the whole target and payload.
-_FUSED_XOR_MIN = 2048
 
 #: single-byte varints (values < 128) precomputed — covers every gap and
 #: literal length under 128 bytes with a list index instead of arithmetic
@@ -42,9 +48,10 @@ _VARINT_CACHE_MAX = 1 << 16
 
 
 def _varint(value: int) -> bytes:
-    """LEB128-style varint as bytes (table- or cache-served when possible)."""
-    if value < 0x80:
-        return _VARINT1[value]
+    """LEB128-style varint as bytes for ``value >= 0x80`` (cache-served).
+
+    Smaller values are served from :data:`_VARINT1` inline by the caller.
+    """
     cached = _VARINT_CACHE.get(value)
     if cached is not None:
         return cached
@@ -62,11 +69,6 @@ def _varint(value: int) -> bytes:
     if len(_VARINT_CACHE) < _VARINT_CACHE_MAX:
         _VARINT_CACHE[value] = encoded
     return encoded
-
-
-def _write_varint(out: bytearray, value: int) -> None:
-    """Append ``value`` as a LEB128-style varint."""
-    out += _varint(value)
 
 
 def _read_varint(payload: bytes, pos: int) -> tuple[int, int]:
@@ -126,8 +128,8 @@ class ZeroRleCodec(Codec):
         """Zero gaps up to this length are encoded as literals."""
         return self._merge_gap
 
-    def encode(self, data: Buffer) -> bytes:
-        """Run-length encode the delta's zero gaps (Sec. 2's sparse P').
+    def _encode_one(self, data: Buffer) -> bytes:
+        """Run-length encode one delta (the loop behind both encoders).
 
         One span-detection pass plus one gather: literal segments are
         sliced as zero-copy ``memoryview`` s and joined with their varint
@@ -139,119 +141,86 @@ class ZeroRleCodec(Codec):
             return b""
         view = data if isinstance(data, memoryview) else memoryview(data)
         parts: list[Buffer] = []
+        append = parts.append
         cursor = 0
         for s, e in zip(starts.tolist(), ends.tolist()):
-            parts.append(_varint(s - cursor))  # zeros since last literal
-            parts.append(_varint(e - s))
-            parts.append(view[s:e])
+            gap = s - cursor  # zeros since the last literal
+            append(_VARINT1[gap] if gap < 0x80 else _varint(gap))
+            length = e - s
+            append(_VARINT1[length] if length < 0x80 else _varint(length))
+            append(view[s:e])
             cursor = e
         return b"".join(parts)
 
+    def encode(self, data: Buffer) -> bytes:
+        """Run-length encode the delta's zero gaps (Sec. 2's sparse P')."""
+        return self._encode_one(data)
+
+    def encode_many(self, datas: "Sequence[Buffer]") -> list[bytes]:
+        """Encode a flush window of deltas, one :meth:`_encode_one` each."""
+        encode_one = self._encode_one
+        return [encode_one(data) for data in datas]
+
+    def _scatter(self, payload: bytes, n: int) -> tuple[bytearray, int, int]:
+        """Parse ``payload`` once into a fresh ``n``-byte delta.
+
+        Returns ``(delta, lo, hi)`` where ``delta[lo:hi]`` is the dirty
+        extent, from the first literal's start to the last literal's end
+        (``lo == hi`` when there are no literals).  Every record is
+        validated before the caller touches its target, so a malformed
+        payload raises :class:`CodecError` with no side effects.
+        """
+        delta = bytearray(n)
+        size = len(payload)
+        pos = cursor = 0
+        lo = -1
+        while pos < size:
+            gap = payload[pos]
+            if gap < 0x80:
+                pos += 1
+            else:
+                gap, pos = _read_varint(payload, pos)
+            if pos < size and payload[pos] < 0x80:
+                length = payload[pos]
+                pos += 1
+            else:  # multi-byte, or truncated: _read_varint raises
+                length, pos = _read_varint(payload, pos)
+            start = cursor + gap
+            cursor = start + length
+            stop = pos + length
+            if cursor > n or stop > size:
+                raise CodecError("zero-RLE payload overruns declared length")
+            delta[start:cursor] = payload[pos:stop]
+            pos = stop
+            if lo < 0:
+                lo = start
+        return delta, lo if lo > 0 else 0, cursor
+
     def decode(self, payload: bytes, original_length: int) -> bytes:
         """Expand zero runs and literals back into the original delta."""
-        out = bytearray(original_length)
-        self.decode_into(payload, out)
-        return bytes(out)
+        return bytes(self._scatter(payload, original_length)[0])
 
     def decode_into(
         self, payload: bytes, out: Union[bytearray, memoryview]
     ) -> None:
-        """Scatter literal segments into ``out``; zero the gaps in between.
-
-        Unlike the base implementation this never materializes a full
-        intermediate block — each literal lands in its final position and
-        the zero gaps are sliced-assigned from a shared zero buffer only
-        where the previous contents could be stale.
-        """
+        """Overwrite ``out`` with the delta: one slice-assign of the scatter."""
         view = _writable_view(out)
-        original_length = view.nbytes
-        pos = 0
-        cursor = 0
-        while pos < len(payload):
-            gap, pos = _read_varint(payload, pos)
-            lit_len, pos = _read_varint(payload, pos)
-            end = cursor + gap + lit_len
-            if end > original_length or pos + lit_len > len(payload):
-                raise CodecError("zero-RLE payload overruns declared length")
-            if gap:
-                view[cursor : cursor + gap] = bytes(gap)
-            cursor += gap
-            view[cursor:end] = payload[pos : pos + lit_len]
-            pos += lit_len
-            cursor = end
-        if cursor < original_length:
-            view[cursor:] = bytes(original_length - cursor)
+        view[:] = self._scatter(payload, view.nbytes)[0]
 
     def decode_xor_into(
         self, payload: bytes, out: Union[bytearray, memoryview]
     ) -> None:
-        """XOR only the literal segments into ``out`` (Eq. 2 fast path).
+        """XOR the delta into ``out`` over its dirty extent (Eq. 2 fast path).
 
-        Zero gaps of the delta are XOR identities, so with ``out`` holding
-        ``A_old`` only the changed spans are ever read or written — the
-        cost is proportional to the write's dirtiness, not the block size.
+        Zero gaps before the first and after the last literal are XOR
+        identities, so with ``out`` holding ``A_old`` only the extent is
+        read or written, in one :func:`xor_into` call however many
+        literals the frame carries.
         """
         view = _writable_view(out)
-        original_length = view.nbytes
-        payload_length = len(payload)
-        pos = 0
-        cursor = 0
-        if original_length >= _FUSED_XOR_MIN:
-            # Hoist one numpy view of the target and one of the payload;
-            # each literal is then a single in-place ufunc call on slices
-            # of those views instead of two frombuffer dispatches plus a
-            # payload bytes copy per literal (~2x cheaper per segment).
-            tv = np.frombuffer(view, dtype=np.uint8)
-            pv = np.frombuffer(payload, dtype=np.uint8)
-            while pos < payload_length:
-                gap, pos = _read_varint(payload, pos)
-                lit_len, pos = _read_varint(payload, pos)
-                cursor += gap
-                end = cursor + lit_len
-                if end > original_length or pos + lit_len > payload_length:
-                    raise CodecError(
-                        "zero-RLE payload overruns declared length"
-                    )
-                target = tv[cursor:end]
-                np.bitwise_xor(target, pv[pos : pos + lit_len], out=target)
-                pos += lit_len
-                cursor = end
-            return
-        while pos < payload_length:
-            gap, pos = _read_varint(payload, pos)
-            lit_len, pos = _read_varint(payload, pos)
-            cursor += gap
-            end = cursor + lit_len
-            if end > original_length or pos + lit_len > payload_length:
-                raise CodecError("zero-RLE payload overruns declared length")
-            xor_into(view[cursor:end], payload[pos : pos + lit_len])
-            pos += lit_len
-            cursor = end
-
-    def encode_many(self, datas: "Sequence[Buffer]") -> list[bytes]:
-        """Encode a flush window of deltas in one pass per delta.
-
-        Span detection already amortizes well per call; the win here is
-        reusing one memoryview per input and skipping per-call attribute
-        lookups, which matters at batch sizes of 16–64 records.
-        """
-        merge_gap = self._merge_gap
-        out: list[bytes] = []
-        for data in datas:
-            starts, ends = nonzero_spans(data, merge_gap=merge_gap)
-            if starts.size == 0:
-                out.append(b"")
-                continue
-            view = data if isinstance(data, memoryview) else memoryview(data)
-            parts: list[Buffer] = []
-            cursor = 0
-            for s, e in zip(starts.tolist(), ends.tolist()):
-                parts.append(_varint(s - cursor))
-                parts.append(_varint(e - s))
-                parts.append(view[s:e])
-                cursor = e
-            out.append(b"".join(parts))
-        return out
+        delta, lo, hi = self._scatter(payload, view.nbytes)
+        if hi > lo:
+            xor_into(view[lo:hi], memoryview(delta)[lo:hi])
 
 
 ZERO_RLE = register_codec(ZeroRleCodec())

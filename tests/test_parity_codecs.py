@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.common.buffers import nonzero_spans
 from repro.common.errors import CodecError
 from repro.parity import (
     PipelineCodec,
@@ -133,6 +135,121 @@ class TestCodecErrors:
     def test_zlib_invalid_level(self):
         with pytest.raises(ValueError):
             ZlibCodec(level=11)
+
+
+def _error_delta(n: int) -> bytes:
+    """Three literals; the second gap needs a 2-byte varint, the last ends at ``n``."""
+    delta = bytearray(n)
+    delta[10:30] = b"\x11" * 20
+    delta[600:608] = b"\x22" * 8
+    delta[n - 4 :] = b"\x33" * 4
+    return bytes(delta)
+
+
+def _malformed(codec, case: str, n: int = 1024) -> tuple[bytes, int]:
+    """A bad ``(payload, target_length)`` whose first literal is valid.
+
+    Codecs without records (raw, zlib, composed stages) get the nearest
+    equivalent: a cut payload or an oversized delta.
+    """
+    payload = codec.encode(_error_delta(n))
+    if case == "truncated-varint":
+        # cut inside the 2-byte gap varint of the second record
+        cut = {"zero-rle": 2 + 20 + 1, "sparse": 4 + 8 + 20 + 1}
+        return payload[: cut.get(codec.name, len(payload) // 2)], n
+    if case == "literal-past-payload-end":
+        return payload[:-1], n
+    if case == "literal-past-declared-length":
+        wide = bytearray(2 * n)
+        wide[10:30] = b"\x11" * 20
+        wide[n + 100 : n + 110] = b"\x44" * 10
+        return codec.encode(bytes(wide)), n
+    assert case == "short-target"
+    return payload, n - 1
+
+
+@pytest.mark.parametrize("codec", available_codecs(), ids=lambda c: c.name)
+@pytest.mark.parametrize(
+    "case",
+    [
+        "truncated-varint",
+        "literal-past-payload-end",
+        "literal-past-declared-length",
+        "short-target",
+    ],
+)
+@pytest.mark.parametrize("method", ["decode_into", "decode_xor_into"])
+def test_malformed_payload_leaves_target_unchanged(codec, case, method):
+    payload, n = _malformed(codec, case)
+    before = bytes(range(256)) * (n // 256) + bytes(range(n % 256))
+    out = bytearray(before)
+    with pytest.raises(CodecError):
+        getattr(codec, method)(payload, out)
+    assert bytes(out) == before
+
+
+#: gap/length sizes crossing the 1-, 2- and 3-byte varint encodings
+_VARINT_SIZED = st.one_of(
+    st.integers(1, 127), st.integers(128, 16383), st.integers(16384, 40000)
+)
+
+
+def _literal_delta(n: int, runs: "list[tuple[int, int]]", seed: int) -> bytes:
+    """Place nonzero literals at ``(gap, length)`` steps until ``n`` is full."""
+    rng = np.random.default_rng(seed)
+    delta = bytearray(n)
+    cursor = 0
+    for gap, length in runs:
+        start = cursor + gap
+        if start >= n:
+            break
+        cursor = min(n, start + length)
+        delta[start:cursor] = rng.integers(1, 256, cursor - start, np.uint8).tobytes()
+    return bytes(delta)
+
+
+@st.composite
+def _zero_rle_deltas(draw):
+    n = draw(st.sampled_from([512, 8192, 65536]))
+    pairs = st.tuples(_VARINT_SIZED, _VARINT_SIZED)
+    runs = draw(st.lists(pairs, min_size=1, max_size=300))
+    first_gap = draw(st.integers(0, n - 1))  # at least one literal always fits
+    runs[0] = (first_gap, runs[0][1])
+    return _literal_delta(n, runs, draw(st.integers(0, 2**32 - 1)))
+
+
+class TestZeroRleRoundTripProperty:
+    """Every zero-RLE decoder inverts encode, however many literals a frame has."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(delta=_zero_rle_deltas(), merge_gap=st.sampled_from([0, 8]))
+    @example(delta=_literal_delta(8192, [(9, 3)] * 300, 1), merge_gap=8)
+    @example(delta=_literal_delta(65536, [(20000, 20000)] * 3, 2), merge_gap=0)
+    def test_decoders_invert_encode(self, delta, merge_gap):
+        codec = ZeroRleCodec(merge_gap=merge_gap)
+        n = len(delta)
+        payload = codec.encode(delta)
+        assert codec.decode(payload, n) == delta
+        out = bytearray(b"\xee" * n)
+        codec.decode_into(payload, out)
+        assert bytes(out) == delta
+
+        a = np.random.default_rng(n).integers(0, 256, n, np.uint8).tobytes()
+        expect = forward_parity(a, delta)  # a XOR delta
+        block = bytearray(a)
+        codec.decode_xor_into(payload, block)
+        assert bytes(block) == expect
+        block = bytearray(a)
+        decode_frame_xor_into(encode_frame(codec, delta), block)
+        assert bytes(block) == expect
+
+    def test_examples_reach_many_literals_and_long_varints(self):
+        starts, _ = nonzero_spans(_literal_delta(8192, [(9, 3)] * 300, 1), merge_gap=8)
+        assert starts.size >= 256
+        wide = ZeroRleCodec(merge_gap=0).encode(
+            _literal_delta(65536, [(20000, 20000)] * 3, 2)
+        )
+        assert wide[:3] == bytes([0xA0, 0x9C, 0x01])  # 20000 is a 3-byte varint
 
 
 class TestRegistry:
