@@ -1,34 +1,29 @@
 #!/usr/bin/env python
-"""Concurrency benchmark: process codec workers + transport tier parity.
+"""Transport-parity benchmark: asyncio target vs thread-per-session target.
 
-Times the encode-bound mix the GIL actually throttles — PRINS parity
-deltas through the ``rle+zlib`` codec at 64 KiB blocks, shipped in
-``write_many``-sized windows — inline versus the
-:class:`~repro.engine.workers.CodecWorkerPool` at 1/2/4 workers, and
-verifies the two tiers of the concurrency contract:
+Drives the same 64 concurrent initiator sessions against both networked
+iSCSI target tiers — the thread-per-session :class:`~repro.iscsi.target
+.TargetServer` (one blocking initiator per thread) and the single
+event-loop :class:`~repro.iscsi.aio.AsyncTargetServer` (one coroutine
+per session) — and checks the tier contract:
 
-* **throughput** — with 4 workers the pool must reach at least
-  ``--min-speedup`` (default 2.0x) over inline encode.  The gate is
-  core-aware: wall-clock speedup is physically unreachable on a
-  single-core runner, so it is enforced only when at least
-  ``--gate-cores`` (default 4) usable cores exist — CI's runners have
-  them; the measured core count is recorded either way;
-* **identity** — every pool-encoded frame must be byte-identical to the
-  inline frame (asserted inline during the run); the default engine
-  path must produce byte-identical replica images and payload ledgers
-  with ``workers="process"``; and 64 concurrent sessions against the
-  asyncio target must move exactly the same wire bytes as the same 64
-  sessions against the thread-per-session target.  Identity gates are
-  deterministic and enforced unconditionally.
+* **identity** — every session must move exactly the same wire bytes
+  and PDUs against both targets.  Per-session ``(bytes_sent,
+  bytes_received, pdus_sent, pdus_received)`` tuples are collected in
+  session order and hashed into ``wire_sha``, which ``--check`` gates
+  exactly against the tracked artifact;
+* **timing** — each tier's wall clock for the whole concurrent run is
+  recorded (informational only; it is not gated).  Both sides run their
+  sessions concurrently, so the two numbers are like for like.
 
 Usage::
 
     # refresh the tracked artifact (full sweep + smoke keys)
     PYTHONPATH=src python scripts/bench_concurrency.py --out BENCH_concurrency.json
 
-    # CI smoke: identity gates + core-aware speedup floor
+    # CI smoke: wire-identity gate against the tracked artifact
     PYTHONPATH=src python scripts/bench_concurrency.py --smoke \
-        --check BENCH_concurrency.json --min-speedup 2.0
+        --check BENCH_concurrency.json
 
 Only the standard library + the repo itself are required.
 """
@@ -39,18 +34,17 @@ import argparse
 import asyncio
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.api import ReplicationConfig, open_primary  # noqa: E402
 from repro.block import MemoryBlockDevice  # noqa: E402
-from repro.common.rng import make_rng  # noqa: E402
-from repro.engine.workers import CodecWorkerPool, available_cores  # noqa: E402
 from repro.iscsi import (  # noqa: E402
     AsyncTargetServer,
     Initiator,
@@ -58,208 +52,118 @@ from repro.iscsi import (  # noqa: E402
     TcpTransport,
 )
 from repro.iscsi.aio import run_sessions  # noqa: E402
-from repro.parity.codecs import get_codec  # noqa: E402
-from repro.parity.frame import encode_frames  # noqa: E402
 
-BLOCK = 65536
-CODEC = "rle+zlib"
-WINDOW = 32  # payloads per encode window (one write_many burst)
-WINDOWS = {"full": 12, "smoke": 4}
-WORKER_COUNTS = (1, 2, 4)
 SESSIONS = 64
 SESSION_OPS = {"full": 8, "smoke": 3}
 
-ENGINE_BS = 8192
-ENGINE_BLOCKS = 128
-ENGINE_WRITES = {"full": 512, "smoke": 128}
+
+def available_cores() -> int:
+    """CPU cores usable by this process (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        return os.cpu_count() or 1
 
 
-def _payloads(windows: int) -> list[list[bytes]]:
-    """Deterministic encode-bound windows: half sparse deltas, half noise."""
-    rng = make_rng(31, "bench-concurrency", windows)
-    out = []
-    for _ in range(windows):
-        window = []
-        for index in range(WINDOW):
-            if index % 2 == 0:
-                block = bytearray(BLOCK)
-                for _ in range(64):
-                    block[int(rng.integers(0, BLOCK))] = int(
-                        rng.integers(1, 256)
-                    )
-                window.append(bytes(block))
-            else:
-                window.append(rng.bytes(BLOCK))
-        out.append(window)
-    return out
+def _session_ops(index: int, session_ops: int):
+    """The (lba, payload) writes session ``index`` issues, in order."""
+    for op in range(session_ops):
+        lba = (index * session_ops + op) % 256
+        yield lba, bytes([(lba % 255) + 1]) * 512
 
 
-def bench_encode(windows: int) -> dict:
-    """Inline vs pool encode over the same windows; frames must match."""
-    codec = get_codec(CODEC)
-    batches = _payloads(windows)
-
-    t0 = time.perf_counter()
-    inline_frames = [encode_frames(codec, window) for window in batches]
-    inline_ms = (time.perf_counter() - t0) * 1e3
-
-    digest = hashlib.sha256()
-    for frames in inline_frames:
-        for frame in frames:
-            digest.update(frame)
-
-    results = {
-        "inline": {"wall_ms": round(inline_ms, 2), "speedup": 1.0},
-        "frames_sha": digest.hexdigest(),
-        "codec": CODEC,
-        "windows": windows,
-        "window_items": WINDOW,
-        "block_bytes": BLOCK,
-    }
-    for count in WORKER_COUNTS:
-        with CodecWorkerPool(
-            worker_count=count, ring_slots=8, block_size=BLOCK
-        ) as pool:
-            pool.encode_frames(codec, batches[0])  # warm the rings
-            t0 = time.perf_counter()
-            pool_frames = [
-                pool.encode_frames(codec, window) for window in batches
-            ]
-            pool_ms = (time.perf_counter() - t0) * 1e3
-        if pool_frames != inline_frames:
-            raise AssertionError(
-                f"pool frames diverged from inline at {count} workers"
-            )
-        results[f"process{count}"] = {
-            "wall_ms": round(pool_ms, 2),
-            "speedup": round(inline_ms / pool_ms, 3) if pool_ms else 0.0,
-        }
-        print(
-            f"  encode {CODEC:10s} workers={count}  "
-            f"{pool_ms:8.1f} ms  {inline_ms / pool_ms:6.3f}x vs inline "
-            f"({inline_ms:.1f} ms)"
-        )
-    return results
-
-
-def bench_engine_identity(writes: int) -> dict:
-    """Default facade path: process workers must change nothing observable."""
-    rng = make_rng(7, "bench-concurrency-engine", writes)
-    stream = [
-        (int(rng.integers(0, ENGINE_BLOCKS)), rng.bytes(ENGINE_BS))
-        for _ in range(writes)
-    ]
-
-    def run(**concurrency):
-        config = ReplicationConfig(
-            block_size=ENGINE_BS,
-            num_blocks=ENGINE_BLOCKS,
-            replicas=2,
-            codec=CODEC,
-            **concurrency,
-        )
-        with open_primary(config) as stack:
-            t0 = time.perf_counter()
-            stack.engine.write_many(stream)
-            stack.drain()
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            assert stack.verify()
-            image = hashlib.sha256()
-            for device in stack.replica_devices:
-                image.update(device.snapshot())
-            return {
-                "image_sha": image.hexdigest(),
-                "payload_bytes": int(stack.engine.accountant.payload_bytes),
-                "wall_ms": round(wall_ms, 2),
-            }
-
-    inline = run()
-    process = run(workers="process", worker_count=4, ring_slots=8)
-    if (inline["image_sha"], inline["payload_bytes"]) != (
-        process["image_sha"],
-        process["payload_bytes"],
-    ):
-        raise AssertionError(
-            "workers='process' broke engine-path byte identity"
-        )
-    print(
-        f"  engine identity: {writes} writes, payload "
-        f"{inline['payload_bytes']:,} B, images identical"
+def _counters(transport) -> tuple[int, int, int, int]:
+    return (
+        transport.bytes_sent,
+        transport.bytes_received,
+        transport.pdus_sent,
+        transport.pdus_received,
     )
-    return {"writes": writes, "inline": inline, "process4": process}
 
 
-def bench_wire_parity(session_ops: int) -> dict:
-    """64 sessions against both target tiers must move identical bytes."""
+def drive_threaded(host: str, port: int, session_ops: int) -> list:
+    """Run every session concurrently, one blocking initiator per thread.
+
+    Returns the per-session counter tuples in session-index order, each
+    sampled after the closing ping and before logout — the same point
+    the asyncio scripts sample at.
+    """
+    totals: list = [None] * SESSIONS
+    errors: list[Exception] = []
+
+    def one(index: int) -> None:
+        try:
+            initiator = Initiator(TcpTransport.connect(host, port), timeout=10)
+            initiator.login()
+            for lba, data in _session_ops(index, session_ops):
+                initiator.write(lba, data)
+                initiator.read(lba)
+            initiator.ping(b"bench")
+            totals[index] = _counters(initiator.transport)
+            initiator.logout()
+        except Exception as exc:  # re-raised in the caller after join
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=one, args=(index,), daemon=True)
+        for index in range(SESSIONS)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        if thread.is_alive():
+            raise TimeoutError("a threaded session did not finish in 60 s")
+    if errors:
+        raise errors[0]
+    return totals
+
+
+def drive_asyncio(host: str, port: int, session_ops: int) -> list:
+    """Run every session concurrently as coroutines on one event loop."""
 
     def make_script(index: int):
         async def script(session):
-            for op in range(session_ops):
-                lba = (index * session_ops + op) % 256
-                await session.write(lba, bytes([(lba % 255) + 1]) * 512)
+            for lba, data in _session_ops(index, session_ops):
+                await session.write(lba, data)
                 await session.read(lba)
             await session.ping(b"bench")
-            t = session.transport
-            return (
-                t.bytes_sent,
-                t.bytes_received,
-                t.pdus_sent,
-                t.pdus_received,
-            )
+            return _counters(session.transport)
 
         return script
 
-    scripts = [make_script(i) for i in range(SESSIONS)]
+    scripts = [make_script(index) for index in range(SESSIONS)]
+    return asyncio.run(run_sessions(host, port, scripts))
 
-    def drive_threaded():
-        """The same op sequence, synchronously, against the threaded tier."""
-        totals = []
-        server = TargetServer(MemoryBlockDevice(512, 256)).start()
-        try:
-            host, port = server.address
-            for index in range(SESSIONS):
-                initiator = Initiator(
-                    TcpTransport.connect(host, port), timeout=10
-                )
-                initiator.login()
-                for op in range(session_ops):
-                    lba = (index * session_ops + op) % 256
-                    initiator.write(lba, bytes([(lba % 255) + 1]) * 512)
-                    initiator.read(lba)
-                initiator.ping(b"bench")
-                t = initiator.transport
-                totals.append(
-                    (t.bytes_sent, t.bytes_received, t.pdus_sent,
-                     t.pdus_received)
-                )
-                initiator.logout()
-        finally:
-            server.close()
-        return totals
 
-    t0 = time.perf_counter()
-    threaded = drive_threaded()
-    threaded_ms = (time.perf_counter() - t0) * 1e3
+def bench_wire_parity(session_ops: int) -> dict:
+    """64 concurrent sessions against both target tiers: identical bytes."""
+    server = TargetServer(MemoryBlockDevice(512, 256)).start()
+    try:
+        host, port = server.address
+        t0 = time.perf_counter()
+        threaded = drive_threaded(host, port, session_ops)
+        threaded_ms = (time.perf_counter() - t0) * 1e3
+    finally:
+        server.close()
 
     server = AsyncTargetServer(MemoryBlockDevice(512, 256)).serve_background()
     try:
         host, port = server.address
         t0 = time.perf_counter()
-        aio = asyncio.run(run_sessions(host, port, scripts))
+        aio = drive_asyncio(host, port, session_ops)
         aio_ms = (time.perf_counter() - t0) * 1e3
         served = server.snapshot()["sessions_served"]
     finally:
         server.stop_background()
 
-    # logout byte parity: async scripts sample counters before logout, the
-    # sync driver too — totals are per-session (sent, received, pdu) tuples
     if aio != threaded:
         raise AssertionError(
             "asyncio tier wire bytes diverged from the threaded tier"
         )
     wire_sha = hashlib.sha256(repr(threaded).encode()).hexdigest()
     print(
-        f"  wire parity: {SESSIONS} sessions x {session_ops} ops, "
+        f"  wire parity: {SESSIONS} concurrent sessions x {session_ops} ops, "
         f"threaded {threaded_ms:.0f} ms / asyncio {aio_ms:.0f} ms, "
         f"bytes identical"
     )
@@ -274,71 +178,30 @@ def bench_wire_parity(session_ops: int) -> dict:
 
 
 def bench_all(scale: str) -> dict:
-    print(f"concurrency benchmark ({scale}, cores={available_cores()})")
-    return {
-        f"encode/{scale}": bench_encode(WINDOWS[scale]),
-        f"engine/{scale}": bench_engine_identity(ENGINE_WRITES[scale]),
-        f"wire/{scale}": bench_wire_parity(SESSION_OPS[scale]),
-    }
+    print(f"transport parity benchmark ({scale}, cores={available_cores()})")
+    return {f"wire/{scale}": bench_wire_parity(SESSION_OPS[scale])}
 
 
-def _check(
-    results: dict, recorded_path: str, min_speedup: float, gate_cores: int
-) -> int:
-    """Gate a fresh run: identity exactly, throughput core-aware."""
+def _check(results: dict, recorded_path: str) -> int:
+    """Gate a fresh run: every ``wire_sha`` must match the artifact."""
     recorded = json.loads(Path(recorded_path).read_text()).get("results", {})
     failures = []
     for key, fresh in sorted(results.items()):
         ref = recorded.get(key)
         if ref is None:
             failures.append(f"{key}: missing from {recorded_path}")
-            continue
-        for field in ("frames_sha", "image_sha", "wire_sha"):
-            kind = key.split("/")[0]
-            fresh_value = _identity_field(kind, fresh, field)
-            ref_value = _identity_field(kind, ref, field)
-            if fresh_value != ref_value:
-                failures.append(
-                    f"{key}: {field} {fresh_value} != recorded {ref_value} "
-                    f"(wire or codec change? refresh artifact)"
-                )
-    cores = available_cores()
-    for key, fresh in sorted(results.items()):
-        if not key.startswith("encode/"):
-            continue
-        speedup = fresh["process4"]["speedup"]
-        if cores < gate_cores:
-            print(
-                f"  gate {key:16s} {speedup:6.3f}x  [skipped: "
-                f"{cores} usable core(s) < {gate_cores}]"
-            )
-            continue
-        marker = "FAIL" if speedup < min_speedup else "ok"
-        print(
-            f"  gate {key:16s} {speedup:6.3f}x "
-            f"(floor {min_speedup:.1f}x at 4 workers)   [{marker}]"
-        )
-        if speedup < min_speedup:
+        elif fresh["wire_sha"] != ref.get("wire_sha"):
             failures.append(
-                f"{key}: 4-worker speedup {speedup:.3f}x below the "
-                f"{min_speedup:.1f}x floor on {cores} cores"
+                f"{key}: wire_sha {fresh['wire_sha']} != recorded "
+                f"{ref.get('wire_sha')} (wire format change? refresh artifact)"
             )
     if failures:
         print("CONCURRENCY GATE FAILED:")
         for failure in failures:
             print(f"  {failure}")
         return 1
-    print(
-        f"concurrency gates pass: byte identity exact; throughput "
-        f"{'enforced' if cores >= gate_cores else 'recorded (low-core host)'}"
-    )
+    print("concurrency gate passes: wire bytes identical to the artifact")
     return 0
-
-
-def _identity_field(kind: str, cell: dict, field: str):
-    if field == "image_sha" and kind == "engine":
-        return cell["inline"][field]
-    return cell.get(field)
 
 
 def _git_rev() -> str:
@@ -359,19 +222,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="smaller windows / fewer ops for CI",
+        help="fewer ops per session, for CI",
     )
     parser.add_argument(
         "--check", metavar="PATH", default=None,
         help="gate this run against the artifact at PATH instead of writing",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=2.0,
-        help="with --check: 4-worker encode speedup floor (default 2.0)",
-    )
-    parser.add_argument(
-        "--gate-cores", type=int, default=4,
-        help="enforce the speedup floor only with >= this many usable cores",
     )
     args = parser.parse_args(argv)
 
@@ -382,28 +237,18 @@ def main(argv: list[str] | None = None) -> int:
         results.update(bench_all("smoke"))
 
     if args.check:
-        return _check(
-            results, args.check, args.min_speedup, args.gate_cores
-        )
+        return _check(results, args.check)
 
     doc = {
-        "schema": 1,
+        "schema": 2,
         "config": {
-            "codec": CODEC,
-            "block_bytes": BLOCK,
-            "window_items": WINDOW,
-            "windows": WINDOWS,
             "sessions": SESSIONS,
-            "engine": {
-                "block_size": ENGINE_BS,
-                "num_blocks": ENGINE_BLOCKS,
-                "writes": ENGINE_WRITES,
-            },
+            "session_ops": SESSION_OPS,
             "units": {
-                "speedup": "inline encode wall / pool encode wall",
-                "wall_ms": "wall-clock, informational only",
+                "wire_sha": "sha256 of per-session (bytes/pdus sent/received)",
+                "wall_ms": "wall-clock, all sessions concurrent, informational",
             },
-            "key": "<bench>/<scale>",
+            "key": "wire/<scale>",
         },
         "results": results,
         "meta": {

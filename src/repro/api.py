@@ -29,25 +29,19 @@ stable; this module is sugar over them, not a replacement.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.block.memory import MemoryBlockDevice
 from repro.common.errors import ConfigurationError
 from repro.engine.batch import BatchConfig
 from repro.engine.cluster import ClusterConfig, StorageCluster
-from repro.engine.links import (
-    DirectLink,
-    InitiatorLink,
-    ReplicaLink,
-    _warn_deprecated,
-)
+from repro.engine.links import DirectLink, InitiatorLink, ReplicaLink
 from repro.engine.primary import PrimaryEngine
 from repro.engine.replica import ReplicaEngine
 from repro.engine.resilience import ResilienceConfig, RetryPolicy
 from repro.engine.router import READ_POLICIES
 from repro.engine.scheduler import WORKER_BACKENDS, SchedulerConfig
-from repro.engine.workers import CodecWorkerPool
 from repro.engine.shard import ShardMap, ShardView, ShardedEngine
 from repro.engine.strategy import ReplicationStrategy, make_strategy
 from repro.engine.stripe import (
@@ -76,9 +70,6 @@ _FANOUT_MODES = ("sequential", "pipelined")
 
 #: transport tiers accepted by :attr:`ReplicationConfig.transport`
 _TRANSPORT_MODES = ("inline", "tcp", "asyncio")
-
-#: legacy ``scheduler_mode`` values → the ``workers`` backend each maps to
-_SCHEDULER_MODE_TO_WORKERS = {"sim": "inline", "threads": "threads"}
 
 #: resync escalation modes accepted by :attr:`ReplicationConfig.resync`
 _RESYNC_MODES = ("reconcile", "digest")
@@ -170,14 +161,9 @@ class ReplicationConfig:
       (``inline`` = in-process calls, ``tcp`` = one thread-per-session
       iSCSI target per replica, ``asyncio`` = every replica target
       multiplexed on one event-loop thread — all three byte-identical on
-      the wire) and ``workers`` picks where codecs run (``inline`` = the
-      caller, ``threads`` = the fan-out scheduler's thread pool,
-      ``process`` = a :class:`~repro.engine.workers.CodecWorkerPool` of
-      ``worker_count`` processes fed through ``ring_slots``-deep
-      shared-memory rings — the GIL escape for encode-bound mixes).
-      The deprecated ``scheduler_mode`` kwarg still maps onto ``workers``
-      (``sim`` → ``inline``, ``threads`` → ``threads``) with a one-shot
-      :class:`DeprecationWarning`;
+      the wire) and ``workers`` picks how the pipelined fan-out scheduler
+      drives links (``inline`` = the caller's thread, ``threads`` = one
+      worker thread per replica channel, overlapping real link waits);
     * **scale-out** — ``read_policy`` (``primary`` = every read served
       locally, ``replica``/``least_loaded`` = conflict-free reads routed
       across healthy replicas, :mod:`repro.engine.router`) and
@@ -223,8 +209,6 @@ class ReplicationConfig:
     # -- concurrency -----------------------------------------------------------
     transport: str = "inline"
     workers: str = "inline"
-    worker_count: int = 0
-    ring_slots: int = 8
     # -- scale-out -------------------------------------------------------------
     read_policy: str = "primary"
     shards: int = 1
@@ -240,24 +224,9 @@ class ReplicationConfig:
         default_factory=ObservabilityConfig
     )
     seed: int = 0
-    # -- deprecated shims (init-only; excluded from fields()/to_dict) ----------
-    scheduler_mode: InitVar[str | None] = None
 
-    def __post_init__(self, scheduler_mode: str | None) -> None:
+    def __post_init__(self) -> None:
         """Validate the cheap invariants; deeper ones live in the builders."""
-        if scheduler_mode is not None:
-            _warn_deprecated(
-                "ReplicationConfig(scheduler_mode=...)",
-                "ReplicationConfig(workers=...)",
-            )
-            workers = _SCHEDULER_MODE_TO_WORKERS.get(scheduler_mode)
-            if workers is None:
-                raise ConfigurationError(
-                    f"scheduler_mode must be one of "
-                    f"{tuple(_SCHEDULER_MODE_TO_WORKERS)}, "
-                    f"got {scheduler_mode!r}"
-                )
-            object.__setattr__(self, "workers", workers)
         if self.fanout not in _FANOUT_MODES:
             raise ConfigurationError(
                 f"fanout must be one of {_FANOUT_MODES}, got {self.fanout!r}"
@@ -271,22 +240,6 @@ class ReplicationConfig:
             raise ConfigurationError(
                 f"workers must be one of {WORKER_BACKENDS}, "
                 f"got {self.workers!r}"
-            )
-        if self.worker_count < 0:
-            raise ConfigurationError(
-                f"worker_count must be >= 0 (0 = auto), "
-                f"got {self.worker_count}"
-            )
-        if self.ring_slots < 2:
-            raise ConfigurationError(
-                f"ring_slots must be >= 2, got {self.ring_slots}"
-            )
-        if self.workers != "process" and (
-            self.worker_count or self.ring_slots != 8
-        ):
-            raise ConfigurationError(
-                "worker_count/ring_slots tune the process codec pool; "
-                'set workers="process" to use them'
             )
         if self.transport != "inline":
             if self.resilient:
@@ -374,14 +327,8 @@ class ReplicationConfig:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ReplicationConfig":
-        """Rebuild a config from :meth:`to_dict` output; rejects unknown keys.
-
-        Legacy dicts carrying ``scheduler_mode`` still load (the init-only
-        shim maps it onto ``workers``, with the same one-shot
-        :class:`DeprecationWarning` as keyword use).
-        """
+        """Rebuild a config from :meth:`to_dict` output; rejects unknown keys."""
         known = {f.name for f in dataclasses.fields(cls)}
-        known.add("scheduler_mode")  # InitVar: absent from fields()
         unknown = set(raw) - known
         if unknown:
             raise ConfigurationError(
@@ -427,22 +374,6 @@ class ReplicationConfig:
             per_link_latency_s=self.per_link_latency_s,
             latency_jitter=self.latency_jitter,
             seed=self.seed,
-            worker_count=self.worker_count,
-            ring_slots=self.ring_slots,
-        )
-
-    def codec_pool_instance(self) -> CodecWorkerPool | None:
-        """A process codec pool per the concurrency fields, or ``None``.
-
-        Built once per :func:`open_primary` stack and shared by every
-        engine in it (shards included); the stack owns and closes it.
-        """
-        if self.workers != "process":
-            return None
-        return CodecWorkerPool(
-            worker_count=self.worker_count,
-            ring_slots=self.ring_slots,
-            block_size=self.block_size,
         )
 
     def stripe_config(self) -> StripeConfig | None:
@@ -522,8 +453,6 @@ class PrimaryStack:
     servers: list[Any] = field(default_factory=list)
     #: the shared event loop hosting asyncio targets (``transport="asyncio"``)
     loop_thread: Any = None
-    #: the shared process codec pool (``workers="process"``)
-    codec_pool: Any = None
 
     def __enter__(self) -> "PrimaryStack":
         """Enter: nothing to do — construction already wired everything."""
@@ -534,12 +463,11 @@ class PrimaryStack:
         self.close()
 
     def close(self) -> None:
-        """Drain and close the engine, then tear down servers, loop, pool.
+        """Drain and close the engine, then tear down servers and loop.
 
         Ordering matters: the engine closes first (flushing batches and
         logging initiator sessions out), then each replica target shuts
-        down deterministically, then the shared event loop and codec
-        worker pool.  Idempotent.
+        down deterministically, then the shared event loop.  Idempotent.
         """
         self.engine.close()
         for server in self.servers:
@@ -552,9 +480,6 @@ class PrimaryStack:
         if self.loop_thread is not None:
             self.loop_thread.close()
             self.loop_thread = None
-        if self.codec_pool is not None:
-            self.codec_pool.close()
-            self.codec_pool = None
 
     def drain(self) -> None:
         """Flush the batch window and drain pipelined fan-out to quiescence."""
@@ -678,7 +603,6 @@ def open_primary(
             replica_devices.append(replica_device)
             replica_engines.append(replica_engine)
             links.append(link)
-    codec_pool = config.codec_pool_instance()
     telemetry = config.telemetry_instance()
     engine = PrimaryEngine(
         device,
@@ -702,7 +626,6 @@ def open_primary(
         scheduler=config.scheduler_config(),
         stripe=stripe,
         read_policy=config.read_policy,
-        codec_pool=codec_pool,
     )
     if stripe is not None and initial_image is not None:
         assert engine.stripe_codec is not None
@@ -717,7 +640,6 @@ def open_primary(
         telemetry=telemetry,
         servers=servers,
         loop_thread=loop_thread,
-        codec_pool=codec_pool,
     )
 
 
@@ -825,7 +747,6 @@ def _open_sharded_primary(
     policy = (
         resilience if resilience is not None else config.resilience_config()
     )
-    codec_pool = config.codec_pool_instance()  # one pool, every shard
     replica_engines: list[ReplicaEngine] = []
     links: list[ReplicaLink] = []
     engines: list[PrimaryEngine] = []
@@ -858,7 +779,6 @@ def _open_sharded_primary(
                 scheduler=config.scheduler_config(),
                 stripe=stripe,
                 read_policy=config.read_policy,
-                codec_pool=codec_pool,
             )
         )
     engine = ShardedEngine(engines, shard_map, device)
@@ -874,7 +794,6 @@ def _open_sharded_primary(
         links=links,
         config=config,
         telemetry=telemetry,
-        codec_pool=codec_pool,
     )
 
 

@@ -266,8 +266,6 @@ def _demo_config(args: argparse.Namespace):
         overrides["transport"] = args.transport
     if args.workers is not None:
         overrides["workers"] = args.workers
-    if args.worker_count is not None:
-        overrides["worker_count"] = args.worker_count
     return _dc.replace(base, **overrides) if overrides else base
 
 
@@ -592,18 +590,11 @@ def main(argv: list[str] | None = None) -> int:
     p_demo.add_argument(
         "--workers",
         default=None,
-        choices=["inline", "threads", "process"],
+        choices=["inline", "threads"],
         help=(
-            "codec execution: caller-inline (default), scheduler threads, "
-            "or a multiprocess codec pool over shared-memory rings"
+            "pipelined fan-out execution: the caller's thread (default) "
+            "or one worker thread per replica channel"
         ),
-    )
-    p_demo.add_argument(
-        "--worker-count",
-        type=int,
-        default=None,
-        metavar="N",
-        help="process-pool size for --workers process (0 = one per core)",
     )
     p_demo.add_argument(
         "--resync",

@@ -34,11 +34,9 @@ from repro.engine.batch import (
     ShipBatcher,
 )
 from repro.engine.cluster import ClusterConfig, StorageCluster, VerifyReport
-from repro.engine.erasure import ErasureConfig, ErasurePool
 from repro.engine.journal import JournalingLink, ReplicationJournal
 from repro.engine.links import DirectLink, InitiatorLink, ReplicaLink
 from repro.engine.messages import ReplicationRecord
-from repro.engine.pipeline import AsyncPrimaryEngine, AsyncReplicator
 from repro.engine.primary import PrimaryEngine
 from repro.engine.replica import ReplicaEngine
 from repro.engine.resilience import (
@@ -61,7 +59,6 @@ from repro.engine.scheduler import (
     SchedulerConfig,
     SimClock,
 )
-from repro.engine.workers import CodecWorkerPool
 from repro.engine.shard import ShardMap, ShardView, ShardedEngine
 from repro.engine.reconcile import (
     ReconcileConfig,
@@ -81,18 +78,13 @@ from repro.engine.work import ShipWork
 
 __all__ = [
     "AggregateAccountant",
-    "AsyncPrimaryEngine",
-    "AsyncReplicator",
     "BatchConfig",
     "BatchEntry",
     "CircuitBreaker",
     "ClusterConfig",
-    "CodecWorkerPool",
     "CompressedBlockStrategy",
     "ConservationError",
     "DirectLink",
-    "ErasureConfig",
-    "ErasurePool",
     "FanoutScheduler",
     "FaultyLink",
     "FlushResult",

@@ -13,19 +13,13 @@ Two implementations behind one interface:
 
 **Submission surface.**  Every link is driven through one method —
 :meth:`ReplicaLink.submit`, taking a :class:`~repro.engine.work.ShipWork`
-(a single record or a multi-segment batch).  The historical split pair
-``ship(lba, record)`` / ``ship_batch(batch)`` survives as thin deprecated
-shims that forward to :meth:`~ReplicaLink.submit` and emit a
-:class:`DeprecationWarning` once per process (removal is planned for the
-next major release).  Subclasses implement :meth:`ReplicaLink._submit_record`
-(and optionally :meth:`ReplicaLink._submit_batch`); legacy subclasses that
-still override ``ship``/``ship_batch`` keep working — the default hooks
-detect and route to their overrides.
+(a single record or a multi-segment batch).  Subclasses implement
+:meth:`ReplicaLink._submit_record` (and optionally
+:meth:`ReplicaLink._submit_batch`).
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC
 from typing import TYPE_CHECKING
 
@@ -38,42 +32,16 @@ from repro.iscsi.pdu import BHS_SIZE
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.work import ShipWork
 
-#: method names whose deprecation warning already fired this process
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    """Emit the ``old``-name deprecation warning, at most once per name."""
-    if old in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(old)
-    warnings.warn(
-        f"{old} is deprecated and will be removed in the next major "
-        f"release; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Re-arm the once-per-process link deprecation warnings (test hook)."""
-    _DEPRECATION_WARNED.clear()
-
-
 class ReplicaLink(ABC):
-    """One primary→replica channel.
-
-    The single submission surface is :meth:`submit`; ``ship`` and
-    ``ship_batch`` are deprecated aliases kept for one release.
-    """
+    """One primary→replica channel; :meth:`submit` is its only entry point."""
 
     #: PDU header bytes charged per shipped record
     pdu_overhead: int = BHS_SIZE
 
     #: causal context of the submission currently being delivered.  Set by
-    #: :meth:`submit` before dispatching to the hooks, so overrides with
-    #: the historical ``(lba, record)`` signatures still propagate tracing
-    #: without a signature change.
+    #: :meth:`submit` before dispatching to the hooks, so the
+    #: ``(lba, record)`` hook signatures propagate tracing without
+    #: carrying it.
     _ship_ctx = None
 
     # -- unified submission --------------------------------------------------
@@ -85,31 +53,17 @@ class ReplicaLink(ABC):
         and the fan-out scheduler use.  Decorating links override it
         wholesale; transport links implement the
         :meth:`_submit_record` / :meth:`_submit_batch` hooks instead.
-        Legacy subclasses that still override ``ship``/``ship_batch`` are
-        detected here and routed to their overrides (which must not call
-        ``super().ship`` — the base methods are shims over ``submit``).
         """
         self._ship_ctx = work.ctx
         if work.batch is not None:
-            legacy_batch = type(self).ship_batch
-            if legacy_batch is not ReplicaLink.ship_batch:
-                return legacy_batch(self, work.batch)
             return self._submit_batch(work.batch)
         assert work.record is not None
-        return self._route_record(work.lba, work.record)
-
-    def _route_record(self, lba: int, record: ReplicationRecord) -> bytes:
-        """Dispatch one record to a legacy ``ship`` override or the hook."""
-        legacy = type(self).ship
-        if legacy is not ReplicaLink.ship:
-            return legacy(self, lba, record)
-        return self._submit_record(lba, record)
+        return self._submit_record(work.lba, work.record)
 
     def _submit_record(self, lba: int, record: ReplicationRecord) -> bytes:
         """Deliver a single record; return the replica's ack payload."""
         raise NotImplementedError(
-            f"{type(self).__name__} implements neither _submit_record nor "
-            "a legacy ship override"
+            f"{type(self).__name__} does not implement _submit_record"
         )
 
     def _submit_batch(self, batch: ShipBatch) -> bytes:
@@ -123,42 +77,13 @@ class ReplicaLink(ABC):
         applied = 0
         duplicates = 0
         for entry in batch:
-            ack = self._route_record(entry.lba, entry.record)
+            ack = self._submit_record(entry.lba, entry.record)
             _, status = ReplicaEngine.parse_ack(ack)
             if status == ACK_DUPLICATE:
                 duplicates += 1
             else:
                 applied += 1
         return pack_batch_ack(batch.last_seq, applied, duplicates)
-
-    # -- deprecated split surface -------------------------------------------
-
-    def ship(self, lba: int, record: ReplicationRecord) -> bytes:
-        """Deliver ``record`` for ``lba``; return the replica's ack payload.
-
-        .. deprecated:: 1.1
-           Use ``submit(ShipWork.for_record(lba, record))`` instead.
-        """
-        from repro.engine.work import ShipWork
-
-        _warn_deprecated(
-            "ReplicaLink.ship()", "ReplicaLink.submit(ShipWork.for_record(...))"
-        )
-        return self.submit(ShipWork.for_record(lba, record))
-
-    def ship_batch(self, batch: ShipBatch) -> bytes:
-        """Deliver a multi-segment batch; return the replica's batch ack.
-
-        .. deprecated:: 1.1
-           Use ``submit(ShipWork.for_batch(batch))`` instead.
-        """
-        from repro.engine.work import ShipWork
-
-        _warn_deprecated(
-            "ReplicaLink.ship_batch()",
-            "ReplicaLink.submit(ShipWork.for_batch(...))",
-        )
-        return self.submit(ShipWork.for_batch(batch))
 
     # -- channel plumbing ----------------------------------------------------
 

@@ -64,11 +64,6 @@ from repro.engine.work import ShipWork
 from repro.obs.telemetry import get_telemetry
 from repro.raid.parity_base import ParityArrayBase
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.workers import CodecWorkerPool
-
 
 class _StripeCharge:
     """Deferred accounting for one striped write's whole fragment fan-out.
@@ -183,33 +178,10 @@ class PrimaryEngine(BlockDevice):
         scheduler: "SchedulerConfig | None" = None,
         stripe: StripeConfig | None = None,
         read_policy: str = "primary",
-        codec_pool: "CodecWorkerPool | None" = None,
     ) -> None:
         super().__init__(device.block_size, device.num_blocks)
         self._device = device
         self._strategy = strategy
-        # Process codec workers: an explicit pool is borrowed (the caller
-        # owns its lifecycle); a scheduler asking for workers="process"
-        # with no pool supplied gets one built here and closed with the
-        # engine.  Either way the pool binds to the strategy so windowed
-        # encodes scatter across worker processes.
-        self._codec_pool = codec_pool
-        self._owns_pool = False
-        if (
-            codec_pool is None
-            and scheduler is not None
-            and scheduler.workers == "process"
-        ):
-            from repro.engine.workers import CodecWorkerPool
-
-            self._codec_pool = CodecWorkerPool(
-                worker_count=scheduler.worker_count,
-                ring_slots=scheduler.ring_slots,
-                block_size=device.block_size,
-            )
-            self._owns_pool = True
-        if self._codec_pool is not None:
-            strategy.bind_codec_pool(self._codec_pool)
         self._verify_acks = verify_acks
         self._seq = 0
         if stripe is not None and batch is not None:
@@ -245,8 +217,6 @@ class PrimaryEngine(BlockDevice):
         self._cache_hit_counter = self.telemetry.counter("cache.old_block.hits")
         self._cache_miss_counter = self.telemetry.counter("cache.old_block.misses")
         self._strategy.bind_telemetry(self.telemetry)
-        if self._codec_pool is not None:
-            self._codec_pool.bind_telemetry(self.telemetry)
         if self.telemetry.enabled:
             self.telemetry.register_source(
                 telemetry_name or f"engine.{strategy.name}",
@@ -354,11 +324,6 @@ class PrimaryEngine(BlockDevice):
     def router(self) -> ReadRouter | None:
         """The conflict-aware read router (``None`` under primary serving)."""
         return self._router
-
-    @property
-    def codec_pool(self) -> "CodecWorkerPool | None":
-        """The process codec worker pool (``None`` for in-process encode)."""
-        return self._codec_pool
 
     @property
     def read_policy(self) -> str:
@@ -717,10 +682,8 @@ class PrimaryEngine(BlockDevice):
                 return
             # Unbatched: assign sequence tickets in write order, then push
             # the surviving payloads through one encode_payloads pass — the
-            # window shares a single codec dispatch (and, with a bound
-            # worker pool, scatters across codec worker processes) while
-            # frames, seqs, and accounting stay identical to the per-write
-            # path.
+            # window shares a single codec dispatch while frames, seqs, and
+            # accounting stay identical to the per-write path.
             pending: list[tuple[int, bytes, bytes, int]] = []
             for lba, data, payload in zip(lbas, datas, payloads):
                 if payload is None:
@@ -1090,8 +1053,6 @@ class PrimaryEngine(BlockDevice):
                 self._scheduler.close()
             for link in self._links:
                 link.close()
-            if self._owns_pool and self._codec_pool is not None:
-                self._codec_pool.close()
             self._device.close()
         super().close()
 
@@ -1121,8 +1082,6 @@ class PrimaryEngine(BlockDevice):
             }
         if self._old_cache is not None:
             snapshot["old_block_cache"] = self._old_cache.snapshot()
-        if self._codec_pool is not None:
-            snapshot["codec_pool"] = self._codec_pool.snapshot()
         if self._stripe_codec is not None:
             codec = self._stripe_codec
             snapshot["stripe"] = {

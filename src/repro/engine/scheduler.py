@@ -36,9 +36,7 @@ Two execution modes, one semantics:
   submissions and window ``w`` per channel it is ``ceil(n/w) × latency``
   per channel, overlapped across channels, versus the sequential
   ``n × Σ latency``;
-* ``workers="threads"`` (and ``"process"``, which additionally offloads
-  codec kernels to worker processes upstream) — one worker per channel
-  on a real
+* ``workers="threads"`` — one worker per channel on a real
   :class:`concurrent.futures.ThreadPoolExecutor`, for wall-clock wins
   over :class:`~repro.engine.links.InitiatorLink`/TCP transports.  Each
   channel's bounded queue is its credit window; accounting-touching
@@ -60,7 +58,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.common.errors import (
@@ -69,7 +67,7 @@ from repro.common.errors import (
     ReplicationError,
 )
 from repro.common.rng import make_rng
-from repro.engine.links import ReplicaLink, _warn_deprecated
+from repro.engine.links import ReplicaLink
 from repro.engine.work import ShipWork
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim.core import Simulator
@@ -90,11 +88,8 @@ __all__ = [
 _STOP = object()
 
 
-#: legacy ``mode=`` values and the ``workers=`` backend each maps to
-_MODE_TO_WORKERS = {"sim": "inline", "threads": "threads"}
-
 #: worker backends a scheduler accepts
-WORKER_BACKENDS = ("inline", "threads", "process")
+WORKER_BACKENDS = ("inline", "threads")
 
 
 @dataclass(frozen=True)
@@ -102,13 +97,10 @@ class SchedulerConfig:
     """Tunables for a pipelined fan-out scheduler.
 
     ``workers`` picks the concurrency backend: ``"inline"`` (the
-    deterministic event-driven simulation — the default), ``"threads"``
-    (one real worker thread per channel, overlapping link I/O), or
-    ``"process"`` (thread-per-channel link I/O *plus* codec kernels
-    offloaded to a :class:`~repro.engine.workers.CodecWorkerPool` of
-    ``worker_count`` processes fed through ``ring_slots``-deep
-    shared-memory rings).  ``window`` is the per-replica credit budget
-    (max in-flight submissions).  ``link_latency_s`` is the simulated
+    deterministic event-driven simulation — the default) or ``"threads"``
+    (one real worker thread per channel, overlapping link I/O).
+    ``window`` is the per-replica credit budget (max in-flight
+    submissions).  ``link_latency_s`` is the simulated
     send→ack latency every channel charges in inline mode;
     ``per_link_latency_s`` overrides it per channel index.
     ``latency_jitter`` scales each ack's latency by a factor drawn
@@ -116,13 +108,8 @@ class SchedulerConfig:
     out-of-order acks within a channel are exercised deterministically.
     ``max_queue`` bounds how many submissions may wait behind a full
     window before :meth:`FanoutScheduler.submit` stalls the producer
-    (threaded backends block for real; inline counts a stall and keeps
+    (``threads`` blocks for real; ``inline`` counts a stall and keeps
     queueing, staying deterministic).
-
-    .. deprecated::
-       ``mode="sim"`` / ``mode="threads"`` are accepted as init-only
-       aliases for ``workers="inline"`` / ``workers="threads"`` and emit
-       a one-shot :class:`DeprecationWarning`; use ``workers=``.
     """
 
     workers: str = "inline"
@@ -133,34 +120,13 @@ class SchedulerConfig:
     max_queue: int = 1024
     seed: int = 0
     drain_timeout_s: float = 30.0
-    worker_count: int = 0
-    ring_slots: int = 8
-    mode: InitVar[str | None] = None
 
-    def __post_init__(self, mode: str | None) -> None:
-        """Map the deprecated alias, then validate backend and latency."""
-        if mode is not None:
-            _warn_deprecated(
-                "SchedulerConfig(mode=...)", "SchedulerConfig(workers=...)"
-            )
-            workers = _MODE_TO_WORKERS.get(mode)
-            if workers is None:
-                raise ConfigurationError(
-                    f"scheduler mode must be 'sim' or 'threads', got {mode!r}"
-                )
-            object.__setattr__(self, "workers", workers)
+    def __post_init__(self) -> None:
+        """Validate backend, window, queue and latency settings."""
         if self.workers not in WORKER_BACKENDS:
             raise ConfigurationError(
                 f"scheduler workers must be one of {WORKER_BACKENDS}, "
                 f"got {self.workers!r}"
-            )
-        if self.worker_count < 0:
-            raise ConfigurationError(
-                f"worker_count must be >= 0 (0 = auto), got {self.worker_count}"
-            )
-        if self.ring_slots < 2:
-            raise ConfigurationError(
-                f"ring_slots must be >= 2, got {self.ring_slots}"
             )
         if self.window < 1:
             raise ConfigurationError(
@@ -181,13 +147,7 @@ class SchedulerConfig:
 
     @property
     def execution(self) -> str:
-        """How channel sends run: ``"sim"`` (inline) or ``"threads"``.
-
-        Both the ``threads`` and ``process`` backends drive links from
-        real per-channel worker threads; ``process`` additionally
-        offloads codec kernels to worker processes *upstream* of the
-        scheduler, so channel execution is identical.
-        """
+        """How channel sends run: ``"sim"`` (inline) or ``"threads"``."""
         return "sim" if self.workers == "inline" else "threads"
 
     def latency_for(self, index: int) -> float:

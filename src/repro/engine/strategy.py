@@ -39,29 +39,6 @@ class ReplicationStrategy(ABC):
     needs_old_data: bool = False
     #: telemetry handle (null by default); set via :meth:`bind_telemetry`
     telemetry = NULL_TELEMETRY
-    #: optional :class:`~repro.engine.workers.CodecWorkerPool`; when bound,
-    #: windowed encodes scatter across worker processes instead of running
-    #: on the caller's thread.  Set via :meth:`bind_codec_pool`.
-    codec_pool = None
-
-    def bind_codec_pool(self, pool) -> None:
-        """Route windowed encodes through a process worker pool.
-
-        Single-block :meth:`encode_payload` calls stay inline — a
-        process round-trip per synchronous write would add latency for
-        nothing — so only the vectorized window paths
-        (:meth:`encode_payloads`, reached from ``write_many`` and the
-        batcher's flush) fan out.  Frame bytes are identical either way.
-        """
-        self.codec_pool = pool
-
-    def _encode_window(self, payloads: Sequence[bytes]) -> list[bytes]:
-        """Frame a flush window: worker pool when bound, else one codec pass."""
-        datas = list(payloads)
-        if self.codec_pool is not None:
-            return self.codec_pool.encode_frames(self._codec, datas)
-        return encode_frames(self._codec, datas)
-
     def bind_telemetry(self, telemetry) -> None:
         """Attach a telemetry handle so encode stages emit spans.
 
@@ -220,7 +197,7 @@ class FullBlockStrategy(ReplicationStrategy):
         with self.telemetry.span(
             "write.encode", codec=self._codec.name, batch=len(payloads)
         ):
-            return self._encode_window(payloads)
+            return encode_frames(self._codec, list(payloads))
 
     def apply_update(self, frame: bytes, old_data: bytes | None) -> bytes:
         """Unwrap the shipped block; ``old_data`` is not needed."""
@@ -263,7 +240,7 @@ class CompressedBlockStrategy(ReplicationStrategy):
         with self.telemetry.span(
             "write.encode", codec=self._codec.name, batch=len(payloads)
         ):
-            return self._encode_window(payloads)
+            return encode_frames(self._codec, list(payloads))
 
     def apply_update(self, frame: bytes, old_data: bytes | None) -> bytes:
         """Decompress the shipped block; ``old_data`` is not needed."""
@@ -356,7 +333,7 @@ class PrinsStrategy(ReplicationStrategy):
         with self.telemetry.span(
             "write.encode", codec=self._codec.name, batch=len(payloads)
         ):
-            return self._encode_window(payloads)
+            return encode_frames(self._codec, list(payloads))
 
     def merge_updates(self, payloads: Sequence[bytes]) -> bytes:
         """XOR-compose same-LBA parity deltas into one (Eqs. 1–2 compose).

@@ -4,8 +4,7 @@ PRINS's core identity — the parity delta ``P' = A_new ⊕ A_old`` that
 updates a mirror is byte-for-byte the quantity that updates an XOR
 erasure parity — generalizes to any *linear* code over GF(2): a
 Reed-Solomon combination of delta slices is itself a valid delta against
-the coded fragment.  This module exploits that to promote
-:mod:`repro.engine.erasure`'s standalone pool into a first-class
+the coded fragment.  This module exploits that as a first-class
 replication tier (Dimakis et al., *Network Coding for Distributed
 Storage* — PAPERS.md):
 

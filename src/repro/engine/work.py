@@ -1,17 +1,15 @@
 """Unified ship submission: one value type for records and batches.
 
-Historically the link layer exposed two parallel surfaces —
-``ship(lba, record)`` for a single :class:`~repro.engine.messages
-.ReplicationRecord` and ``ship_batch(batch)`` for a multi-segment
-:class:`~repro.engine.batch.ShipBatch` — and every decorator
+:class:`ShipWork` is one immutable value describing *what goes on the
+wire for one submission* — a single :class:`~repro.engine.messages
+.ReplicationRecord` or a multi-segment :class:`~repro.engine.batch
+.ShipBatch` — so every link decorator
 (:class:`~repro.engine.resilience.FaultyLink`,
-:class:`~repro.engine.resilience.ResilientLink`, …) had to duplicate its
-logic across both.  :class:`ShipWork` collapses the split: one immutable
-value describing *what goes on the wire for one submission*, carried
-through the single :meth:`repro.engine.links.ReplicaLink.submit` entry
-point and through the fan-out scheduler
-(:mod:`repro.engine.scheduler`), which needs exactly one submission
-surface per replica channel.
+:class:`~repro.engine.resilience.ResilientLink`, …) handles both through
+one code path.  It is carried through the single
+:meth:`repro.engine.links.ReplicaLink.submit` entry point and through the
+fan-out scheduler (:mod:`repro.engine.scheduler`), which needs exactly
+one submission surface per replica channel.
 """
 
 from __future__ import annotations

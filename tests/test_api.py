@@ -1,4 +1,4 @@
-"""Tests for the repro.api front door and the Link.submit deprecation shims."""
+"""Tests for the repro.api front door and the single Link.submit surface."""
 
 from __future__ import annotations
 
@@ -15,10 +15,8 @@ from repro.engine import (
     DirectLink,
     PrimaryEngine,
     ReplicaEngine,
-    ShipWork,
     make_strategy,
 )
-from repro.engine.links import reset_deprecation_warnings
 from repro.obs.telemetry import NULL_TELEMETRY
 
 BS = 512
@@ -94,50 +92,22 @@ class TestReplicationConfig:
 
 
 class TestConcurrencyConfig:
-    """The unified transport/workers surface added by the GIL-escape tier."""
+    """The unified transport/workers concurrency surface."""
 
     def test_round_trip_with_concurrency_fields(self):
         config = ReplicationConfig(
             transport="asyncio",
-            workers="process",
-            worker_count=3,
-            ring_slots=4,
+            workers="threads",
             fanout="pipelined",
         )
         over_the_wire = json.loads(json.dumps(config.to_dict()))
         assert ReplicationConfig.from_dict(over_the_wire) == config
-
-    def test_legacy_scheduler_mode_dict_still_loads(self):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            config = ReplicationConfig.from_dict({"scheduler_mode": "threads"})
-        assert config.workers == "threads"
-        assert "scheduler_mode" not in config.to_dict()
-        reset_deprecation_warnings()
-
-    def test_scheduler_mode_kwarg_maps_and_warns_once(self):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            config = ReplicationConfig(scheduler_mode="sim")
-        assert config.workers == "inline"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ReplicationConfig(scheduler_mode="threads")  # warned already
-        with pytest.raises(ConfigurationError):
-            ReplicationConfig(scheduler_mode="bogus")
-        reset_deprecation_warnings()
 
     def test_cross_field_validation(self):
         with pytest.raises(ConfigurationError):
             ReplicationConfig(transport="carrier-pigeon")
         with pytest.raises(ConfigurationError):
             ReplicationConfig(workers="fibers")
-        with pytest.raises(ConfigurationError):
-            ReplicationConfig(worker_count=2)  # needs workers="process"
-        with pytest.raises(ConfigurationError):
-            ReplicationConfig(ring_slots=4)  # needs workers="process"
-        with pytest.raises(ConfigurationError):
-            ReplicationConfig(workers="process", ring_slots=1)
         with pytest.raises(ConfigurationError):
             ReplicationConfig(transport="tcp", resilient=True)
         with pytest.raises(ConfigurationError):
@@ -146,13 +116,10 @@ class TestConcurrencyConfig:
             ReplicationConfig(transport="asyncio", shards=2)
 
     def test_scheduler_config_carries_worker_fields(self):
-        config = ReplicationConfig(
-            fanout="pipelined", workers="process", worker_count=2, ring_slots=4
-        )
+        config = ReplicationConfig(fanout="pipelined", workers="threads")
         derived = config.scheduler_config()
-        assert derived.workers == "process"
-        assert derived.worker_count == 2
-        assert derived.ring_slots == 4
+        assert derived.workers == "threads"
+        assert derived.execution == "threads"
 
     def test_cluster_rejects_networked_transport(self):
         with pytest.raises(ConfigurationError):
@@ -185,19 +152,6 @@ class TestConcurrencyConfig:
         stack.close()
         assert stack.servers == []
         stack.close()  # idempotent
-
-    def test_process_pool_owned_by_stack(self):
-        config = ReplicationConfig(
-            block_size=BS, num_blocks=N, workers="process", worker_count=1
-        )
-        stack = open_primary(config)
-        assert stack.codec_pool is not None
-        assert stack.engine.codec_pool is stack.codec_pool
-        _writes(stack.engine, count=4)
-        assert stack.verify()
-        stack.close()
-        assert stack.codec_pool is None
-
 
 class TestOpenPrimary:
     def test_facade_matches_hand_wiring(self):
@@ -319,77 +273,10 @@ class TestOpenCluster:
 
 
 class TestDeprecationShims:
-    def _link(self):
-        strategy = make_strategy("prins")
-        device = MemoryBlockDevice(BS, N)
-        return DirectLink(ReplicaEngine(device, strategy)), strategy
-
-    def _record(self, strategy):
-        engine = PrimaryEngine(
-            MemoryBlockDevice(BS, N), strategy, links=None
-        )
-        del engine
-        # build a record through a throwaway engine write
-        device = MemoryBlockDevice(BS, N)
-        sink = ReplicaEngine(MemoryBlockDevice(BS, N), strategy)
-        captured = []
-
-        class Capture(DirectLink):
-            def _submit_record(self, lba, record):
-                captured.append((lba, record))
-                return super()._submit_record(lba, record)
-
-        engine = PrimaryEngine(device, strategy, [Capture(sink)])
-        engine.write_block(0, b"m" * BS)
-        return captured[0]
-
-    def test_ship_warns_once_per_process(self):
-        reset_deprecation_warnings()
-        link, strategy = self._link()
-        lba, record = self._record(strategy)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            link.ship(lba, record)
-            link.ship(lba, record)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "submit" in str(deprecations[0].message)
-
-    def test_ship_shim_delivers_via_submit(self):
-        """ship() and submit() produce identical acks on identical links."""
-        reset_deprecation_warnings()
-        old_link, strategy = self._link()
-        new_link, _ = self._link()
-        lba, record = self._record(strategy)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            old_ack = old_link.ship(lba, record)
-        new_ack = new_link.submit(ShipWork.for_record(lba, record))
-        assert old_ack == new_ack
-
-    def test_legacy_ship_override_still_routes(self):
-        """Old subclasses that only override ship() keep working."""
-        reset_deprecation_warnings()
-        calls = []
-
-        class LegacyLink(DirectLink):
-            def ship(self, lba, record):
-                calls.append(lba)
-                return super()._submit_record(lba, record)
-
-        strategy = make_strategy("prins")
-        replica_device = MemoryBlockDevice(BS, N)
-        link = LegacyLink(ReplicaEngine(replica_device, strategy))
-        engine = PrimaryEngine(MemoryBlockDevice(BS, N), strategy, [link])
-        engine.write_block(5, b"y" * BS)
-        assert calls == [5]
-        assert replica_device.read_block(5) == b"y" * BS
+    """The removed ship/scheduler_mode shims stay gone and nothing warns."""
 
     def test_internal_paths_do_not_warn(self):
-        """The hot paths must never touch the deprecated shims."""
-        reset_deprecation_warnings()
+        """The write and drain paths emit no deprecation warnings."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             config = ReplicationConfig(
@@ -404,8 +291,7 @@ class TestDeprecationShims:
         ]
 
     def test_routed_sharded_paths_do_not_warn(self):
-        """The read-routing and multi-primary paths stay shim-free too."""
-        reset_deprecation_warnings()
+        """The read-routing and multi-primary paths stay warning-free too."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             config = ReplicationConfig(
@@ -423,14 +309,10 @@ class TestDeprecationShims:
         ]
 
     def test_guarded_link_shims_removed(self):
-        """GuardedLink's own ship overrides are gone; submit is the path.
+        """No link carries the old ship/ship_batch pair; submit is the path."""
+        from repro.engine import GuardedLink, ReplicaLink
 
-        (The base ReplicaLink shims remain for external callers — only
-        the GuardedLink-specific overrides, which had no callers left,
-        were removed.)
-        """
-        from repro.engine import GuardedLink
-
-        assert "ship" not in GuardedLink.__dict__
-        assert "ship_batch" not in GuardedLink.__dict__
+        for cls in (ReplicaLink, DirectLink, GuardedLink):
+            assert not hasattr(cls, "ship")
+            assert not hasattr(cls, "ship_batch")
         assert "submit" in GuardedLink.__dict__

@@ -12,9 +12,12 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
+import pytest
+
 import repro
 import repro.api as api
 import repro.engine as engine
+from repro.common.errors import ConfigurationError
 
 #: the complete public surface of repro.api
 API_EXPORTS = {
@@ -47,8 +50,6 @@ CONFIG_FIELDS = (
     "latency_jitter",
     "transport",
     "workers",
-    "worker_count",
-    "ring_slots",
     "read_policy",
     "shards",
     "resilient",
@@ -85,10 +86,18 @@ ENGINE_SCALEOUT_EXPORTS = {
 }
 
 
-#: engine exports the concurrency tier added (process codec workers)
+#: engine exports the concurrency tier added (the fan-out worker backends)
 ENGINE_CONCURRENCY_EXPORTS = {
-    "CodecWorkerPool",
     "WORKER_BACKENDS",
+}
+
+#: engine exports deleted with the tiers they fronted; they must stay gone
+ENGINE_REMOVED_EXPORTS = {
+    "AsyncPrimaryEngine",
+    "AsyncReplicator",
+    "CodecWorkerPool",
+    "ErasureConfig",
+    "ErasurePool",
 }
 
 
@@ -137,6 +146,24 @@ def test_engine_exports_scaleout_surface():
 def test_engine_exports_concurrency_surface():
     missing = ENGINE_CONCURRENCY_EXPORTS - set(engine.__all__)
     assert not missing, f"engine exports missing: {sorted(missing)}"
+    assert engine.WORKER_BACKENDS == ("inline", "threads")
+    assert not ENGINE_REMOVED_EXPORTS & set(engine.__all__)
+    for name in ENGINE_REMOVED_EXPORTS:
+        assert not hasattr(engine, name), f"repro.engine.{name} is back"
+
+
+def test_removed_concurrency_knobs_are_rejected():
+    """The process-pool fields and the scheduler_mode alias do not load.
+
+    The removed fields are rejected as unknown keys even at what used to
+    be their default values.
+    """
+    removed = ({"worker_count": 0}, {"ring_slots": 8}, {"scheduler_mode": "threads"})
+    for raw in removed:
+        with pytest.raises(ConfigurationError, match="unknown"):
+            api.ReplicationConfig.from_dict(raw)
+    with pytest.raises(ConfigurationError, match="workers"):
+        api.ReplicationConfig(workers="process")
 
 
 def test_iscsi_exports_aio_surface():
@@ -146,19 +173,6 @@ def test_iscsi_exports_aio_surface():
     assert not missing, f"iscsi exports missing: {sorted(missing)}"
     for name in ISCSI_AIO_EXPORTS:
         assert hasattr(iscsi, name), f"repro.iscsi.{name} missing"
-
-
-def test_scheduler_mode_is_init_only():
-    """The deprecated kwarg is accepted but is not a persisted field."""
-    import warnings
-
-    field_names = {f.name for f in dataclasses.fields(api.ReplicationConfig)}
-    assert "scheduler_mode" not in field_names
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        config = api.ReplicationConfig(scheduler_mode="threads")
-    assert config.workers == "threads"
-    assert "scheduler_mode" not in config.to_dict()
 
 
 def test_open_primary_signature_is_stable():
@@ -188,11 +202,9 @@ def test_open_cluster_signature_is_stable():
 
 
 def test_link_protocol_surface():
-    """submit() is the protocol; ship/ship_batch remain as deprecated shims."""
+    """submit() is the whole protocol; the ship/ship_batch aliases are gone."""
     from repro.engine.links import ReplicaLink
 
     assert callable(ReplicaLink.submit)
-    assert callable(ReplicaLink.ship)  # deprecated, but present
-    assert callable(ReplicaLink.ship_batch)  # deprecated, but present
-    assert "deprecated" in (ReplicaLink.ship.__doc__ or "").lower()
-    assert "deprecated" in (ReplicaLink.ship_batch.__doc__ or "").lower()
+    assert not hasattr(ReplicaLink, "ship")
+    assert not hasattr(ReplicaLink, "ship_batch")

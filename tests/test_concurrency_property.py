@@ -1,7 +1,7 @@
 """Property suite: the concurrency tiers are observationally invisible.
 
-The GIL-escape contract is *exact equivalence*: whatever combination of
-``transport`` (inline / tcp / asyncio) and ``workers`` (inline / process)
+The concurrency contract is *exact equivalence*: whatever combination of
+``transport`` (inline / tcp / asyncio) and ``workers`` (inline / threads)
 is configured, the primary image, every replica image, the traffic
 ledger, and accounting conservation must be byte-for-byte identical to
 the plain inline stack — across codec × strategy × fanout.  Hypothesis
@@ -70,24 +70,6 @@ def _run(writes, strategy, codec, fanout, **concurrency):
 
 @settings(max_examples=8, deadline=None)
 @given(writes=write_lists, strategy_codec=strategy_codecs, fanout=fanouts)
-def test_process_workers_identical_to_inline(writes, strategy_codec, fanout):
-    """workers="process": images + full ledger match the inline stack."""
-    strategy, codec = strategy_codec
-    inline, _ = _run(writes, strategy, codec, fanout)
-    process, _ = _run(
-        writes,
-        strategy,
-        codec,
-        fanout,
-        workers="process",
-        worker_count=1,
-        ring_slots=4,
-    )
-    assert process == inline
-
-
-@settings(max_examples=8, deadline=None)
-@given(writes=write_lists, strategy_codec=strategy_codecs, fanout=fanouts)
 def test_asyncio_transport_identical_to_inline(writes, strategy_codec, fanout):
     """transport="asyncio": images + full ledger match the inline stack."""
     strategy, codec = strategy_codec
@@ -116,7 +98,7 @@ def test_asyncio_wire_bytes_equal_tcp_wire_bytes(writes, strategy_codec):
 
 @settings(max_examples=5, deadline=None)
 @given(writes=write_lists)
-def test_process_asyncio_combo_identical_to_inline(writes):
+def test_threads_asyncio_combo_identical_to_inline(writes):
     """Both tiers stacked together still change nothing observable."""
     inline, _ = _run(writes, "prins", None, "pipelined")
     combo, _ = _run(
@@ -125,9 +107,7 @@ def test_process_asyncio_combo_identical_to_inline(writes):
         None,
         "pipelined",
         transport="asyncio",
-        workers="process",
-        worker_count=1,
-        ring_slots=4,
+        workers="threads",
     )
     assert combo == inline
 

@@ -8,8 +8,6 @@ consistency and the headline traffic ordering.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.block import MemoryBlockDevice
 from repro.cdp import ParityLog, RecoveryPoint, recover_image
 from repro.cdp.parity_log import CdpDevice

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.queueing import (
-    MM1Metrics,
     ReplicationNetworkModel,
     StrategyTraffic,
     T1,

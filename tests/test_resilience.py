@@ -38,8 +38,7 @@ from repro.engine import (
     make_strategy,
     verify_consistency,
 )
-from repro.engine.replica import ACK_APPLIED, ACK_DUPLICATE
-from repro.engine.resilience import GuardedLink
+from repro.engine.replica import ACK_DUPLICATE
 from repro.iscsi.transport import (
     FlakyTransport,
     InjectedTransportError,
@@ -248,7 +247,7 @@ class TestResilientLink:
 
     def test_nontransient_errors_propagate_immediately(self):
         class ExplodingLink(DirectLink):
-            def ship(self, lba, record):
+            def _submit_record(self, lba, record):
                 raise ReplicationError("CRC mismatch — deterministic")
 
         link = ResilientLink(ExplodingLink(None), RetryPolicy(max_attempts=5))

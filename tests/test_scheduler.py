@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.engine import (
     SimClock,
     make_strategy,
 )
-from repro.engine.links import ReplicaLink, reset_deprecation_warnings
+from repro.engine.links import ReplicaLink
 from repro.obs.telemetry import Telemetry
 
 BS = 512
@@ -64,23 +65,14 @@ class TestSchedulerConfig:
         with pytest.raises(ConfigurationError):
             SchedulerConfig(workers="carrier-pigeon")
 
-    def test_deprecated_mode_maps_with_warning(self):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            config = SchedulerConfig(mode="threads")
-        assert config.workers == "threads"
-        assert config.execution == "threads"
-        with pytest.raises(ConfigurationError):
-            SchedulerConfig(mode="carrier-pigeon")
-        reset_deprecation_warnings()
-
     def test_process_backend_validates(self):
-        config = SchedulerConfig(workers="process", worker_count=2, ring_slots=4)
-        assert config.execution == "threads"
+        """Only inline and threads remain; the process-pool knobs are gone."""
+        assert SchedulerConfig(workers="threads").execution == "threads"
         with pytest.raises(ConfigurationError):
-            SchedulerConfig(workers="process", worker_count=-1)
-        with pytest.raises(ConfigurationError):
-            SchedulerConfig(ring_slots=1)
+            SchedulerConfig(workers="process")
+        for removed in ("worker_count", "ring_slots", "mode"):
+            with pytest.raises(TypeError):
+                SchedulerConfig(**{removed: 2})
 
     def test_bad_window_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -298,6 +290,33 @@ class TestThreadMode:
         engine.close()
         for dev in reps:
             assert dev.snapshot() == primary.snapshot()
+
+    def test_write_path_is_decoupled_from_the_link(self):
+        """Sec. 2: a write returns before its replica acks; drain waits."""
+        latency = 0.05
+        wrapped = []
+
+        def slow(_index, link):
+            wrapped.append(LatencyLink(link, latency_s=latency))
+            return wrapped[-1]
+
+        engine, primary, reps = _stack(
+            replicas=1,
+            link_wrapper=slow,
+            fanout="pipelined",
+            scheduler=SchedulerConfig(workers="threads", window=4),
+        )
+        start = time.perf_counter()
+        engine.write_block(3, b"w" * BS)
+        write_s = time.perf_counter() - start
+        engine.drain()
+        drain_s = time.perf_counter() - start
+        assert write_s < latency / 2
+        assert drain_s >= latency
+        assert wrapped[0].ships == 1
+        assert engine.scheduler.snapshot()["outstanding"] == 0
+        engine.close()
+        assert reps[0].snapshot() == primary.snapshot()
 
 
 class TestLatencyLink:

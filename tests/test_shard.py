@@ -21,9 +21,8 @@ from repro.engine import (
     ShardMap,
     ShardView,
     ShardedEngine,
-    StorageCluster,
 )
-from repro.engine.resilience import LinkHealth, ResilienceConfig
+from repro.engine.resilience import LinkHealth
 
 BS = 512
 N = 32

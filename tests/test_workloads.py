@@ -8,7 +8,6 @@ import pytest
 
 from repro.block import MemoryBlockDevice
 from repro.common.buffers import nonzero_fraction
-from repro.common.rng import make_rng
 from repro.fs import FileSystem
 from repro.minidb import Database
 from repro.parity import forward_parity
