@@ -25,7 +25,7 @@ def verify_stripe(data_blocks: Iterable[bytes], parity_block: bytes) -> bool:
     accumulator = bytearray(parity_block)
     for block in data_blocks:
         xor_into(accumulator, block)
-    return is_zero(bytes(accumulator))
+    return is_zero(accumulator)
 
 
 def reconstruct_block(surviving_blocks: Iterable[bytes]) -> bytes:
