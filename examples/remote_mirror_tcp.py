@@ -12,6 +12,7 @@ Run:  python examples/remote_mirror_tcp.py
 """
 
 from repro import (
+    AsyncTargetServer,
     Database,
     Initiator,
     InitiatorLink,
@@ -19,7 +20,6 @@ from repro import (
     PrimaryEngine,
     ReplicaEngine,
     ReplicationConfig,
-    TargetServer,
     TcpTransport,
     verify_consistency,
 )
@@ -42,11 +42,11 @@ def main() -> None:
     replica_disk = MemoryBlockDevice(BLOCK_SIZE, NUM_BLOCKS)
     strategy = CONFIG.strategy_instance()
     replica_engine = ReplicaEngine(replica_disk, strategy)
-    server = TargetServer(
+    server = AsyncTargetServer(
         replica_disk,
         name="iqn.2006-01.edu.uri.hpcl:replica",
         replication_handler=replica_engine.receive,
-    ).start()
+    ).serve_background()
     host, port = server.address
     print(f"replica target listening on {host}:{port}")
 
@@ -94,7 +94,7 @@ def main() -> None:
 
     # ---- failover: the primary "dies"; mount the replica image directly
     initiator.logout()
-    server.stop()
+    server.stop_background()
     print("\nprimary lost — promoting the replica...")
     recovered_db = Database(replica_disk, pool_capacity=64)
     # (a production system would persist the catalog; here we re-read one

@@ -1,20 +1,17 @@
 #!/usr/bin/env python
-"""Transport-parity benchmark: asyncio target vs thread-per-session target.
+"""Networked-target benchmark: 64 concurrent sessions, exact wire bytes.
 
-Drives the same 64 concurrent initiator sessions against both networked
-iSCSI target tiers — the thread-per-session :class:`~repro.iscsi.target
-.TargetServer` (one blocking initiator per thread) and the single
-event-loop :class:`~repro.iscsi.aio.AsyncTargetServer` (one coroutine
-per session) — and checks the tier contract:
+Drives 64 concurrent blocking initiator sessions (one thread each)
+against the event-loop :class:`~repro.iscsi.aio.AsyncTargetServer` and
+records:
 
-* **identity** — every session must move exactly the same wire bytes
-  and PDUs against both targets.  Per-session ``(bytes_sent,
-  bytes_received, pdus_sent, pdus_received)`` tuples are collected in
-  session order and hashed into ``wire_sha``, which ``--check`` gates
-  exactly against the tracked artifact;
-* **timing** — each tier's wall clock for the whole concurrent run is
-  recorded (informational only; it is not gated).  Both sides run their
-  sessions concurrently, so the two numbers are like for like.
+* **identity** — per-session ``(bytes_sent, bytes_received, pdus_sent,
+  pdus_received)`` tuples, collected in session order and hashed into
+  ``wire_sha``, which ``--check`` gates exactly against the tracked
+  artifact.  The hashes predate the removal of the thread-per-session
+  target, so a match shows the one server still moves the same bytes;
+* **timing** — ``wall_ms``, the wall clock of the whole concurrent run
+  (informational only; it is not gated).
 
 Usage::
 
@@ -31,7 +28,6 @@ Only the standard library + the repo itself are required.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import hashlib
 import json
 import os
@@ -45,13 +41,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.block import MemoryBlockDevice  # noqa: E402
-from repro.iscsi import (  # noqa: E402
-    AsyncTargetServer,
-    Initiator,
-    TargetServer,
-    TcpTransport,
-)
-from repro.iscsi.aio import run_sessions  # noqa: E402
+from repro.iscsi import AsyncTargetServer, Initiator, TcpTransport  # noqa: E402
 
 SESSIONS = 64
 SESSION_OPS = {"full": 8, "smoke": 3}
@@ -85,8 +75,7 @@ def drive_threaded(host: str, port: int, session_ops: int) -> list:
     """Run every session concurrently, one blocking initiator per thread.
 
     Returns the per-session counter tuples in session-index order, each
-    sampled after the closing ping and before logout — the same point
-    the asyncio scripts sample at.
+    sampled after the closing ping and before logout.
     """
     totals: list = [None] * SESSIONS
     errors: list[Exception] = []
@@ -119,67 +108,35 @@ def drive_threaded(host: str, port: int, session_ops: int) -> list:
     return totals
 
 
-def drive_asyncio(host: str, port: int, session_ops: int) -> list:
-    """Run every session concurrently as coroutines on one event loop."""
-
-    def make_script(index: int):
-        async def script(session):
-            for lba, data in _session_ops(index, session_ops):
-                await session.write(lba, data)
-                await session.read(lba)
-            await session.ping(b"bench")
-            return _counters(session.transport)
-
-        return script
-
-    scripts = [make_script(index) for index in range(SESSIONS)]
-    return asyncio.run(run_sessions(host, port, scripts))
-
-
-def bench_wire_parity(session_ops: int) -> dict:
-    """64 concurrent sessions against both target tiers: identical bytes."""
-    server = TargetServer(MemoryBlockDevice(512, 256)).start()
-    try:
-        host, port = server.address
-        t0 = time.perf_counter()
-        threaded = drive_threaded(host, port, session_ops)
-        threaded_ms = (time.perf_counter() - t0) * 1e3
-    finally:
-        server.close()
-
+def bench_wire(session_ops: int) -> dict:
+    """64 concurrent sessions against the target: hash their wire bytes."""
     server = AsyncTargetServer(MemoryBlockDevice(512, 256)).serve_background()
     try:
         host, port = server.address
         t0 = time.perf_counter()
-        aio = drive_asyncio(host, port, session_ops)
-        aio_ms = (time.perf_counter() - t0) * 1e3
+        totals = drive_threaded(host, port, session_ops)
+        wall_ms = (time.perf_counter() - t0) * 1e3
         served = server.snapshot()["sessions_served"]
     finally:
         server.stop_background()
 
-    if aio != threaded:
-        raise AssertionError(
-            "asyncio tier wire bytes diverged from the threaded tier"
-        )
-    wire_sha = hashlib.sha256(repr(threaded).encode()).hexdigest()
+    wire_sha = hashlib.sha256(repr(totals).encode()).hexdigest()
     print(
-        f"  wire parity: {SESSIONS} concurrent sessions x {session_ops} ops, "
-        f"threaded {threaded_ms:.0f} ms / asyncio {aio_ms:.0f} ms, "
-        f"bytes identical"
+        f"  wire: {SESSIONS} concurrent sessions x {session_ops} ops, "
+        f"{wall_ms:.0f} ms"
     )
     return {
         "sessions": SESSIONS,
         "session_ops": session_ops,
         "sessions_served_async": served,
         "wire_sha": wire_sha,
-        "threaded_wall_ms": round(threaded_ms, 2),
-        "asyncio_wall_ms": round(aio_ms, 2),
+        "wall_ms": round(wall_ms, 2),
     }
 
 
 def bench_all(scale: str) -> dict:
-    print(f"transport parity benchmark ({scale}, cores={available_cores()})")
-    return {f"wire/{scale}": bench_wire_parity(SESSION_OPS[scale])}
+    print(f"networked target benchmark ({scale}, cores={available_cores()})")
+    return {f"wire/{scale}": bench_wire(SESSION_OPS[scale])}
 
 
 def _check(results: dict, recorded_path: str) -> int:

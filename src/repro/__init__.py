@@ -54,7 +54,13 @@ from repro.engine import (
     verify_consistency,
 )
 from repro.fs import FileSystem
-from repro.iscsi import Initiator, Target, TargetServer, TcpTransport, transport_pair
+from repro.iscsi import (
+    AsyncTargetServer,
+    Initiator,
+    Target,
+    TcpTransport,
+    transport_pair,
+)
 from repro.minidb import Column, ColumnType, Database, Schema
 from repro.parity import backward_parity, forward_parity, get_codec
 from repro.queueing import ReplicationNetworkModel, StrategyTraffic, T1, T3
@@ -63,6 +69,7 @@ from repro.raid import Raid0Array, Raid1Array, Raid4Array, Raid5Array
 __version__ = "1.0.0"
 
 __all__ = [
+    "AsyncTargetServer",
     "BlockDevice",
     "CachedDevice",
     "ChecksumDevice",
@@ -97,7 +104,6 @@ __all__ = [
     "T1",
     "T3",
     "Target",
-    "TargetServer",
     "TcpTransport",
     "TrafficAccountant",
     "backward_parity",

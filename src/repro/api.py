@@ -53,7 +53,6 @@ from repro.engine.stripe import (
 from repro.engine.sync import full_sync
 from repro.iscsi.aio import AsyncTargetServer, EventLoopThread
 from repro.iscsi.initiator import Initiator
-from repro.iscsi.target import TargetServer
 from repro.iscsi.transport import TcpTransport
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, get_telemetry
 
@@ -69,7 +68,7 @@ __all__ = [
 _FANOUT_MODES = ("sequential", "pipelined")
 
 #: transport tiers accepted by :attr:`ReplicationConfig.transport`
-_TRANSPORT_MODES = ("inline", "tcp", "asyncio")
+_TRANSPORT_MODES = ("inline", "asyncio")
 
 #: resync escalation modes accepted by :attr:`ReplicationConfig.resync`
 _RESYNC_MODES = ("reconcile", "digest")
@@ -158,12 +157,12 @@ class ReplicationConfig:
       window policy: ``window``, ``link_latency_s``, ``per_link_latency_s``,
       ``latency_jitter``;
     * **concurrency** — ``transport`` picks how records reach replicas
-      (``inline`` = in-process calls, ``tcp`` = one thread-per-session
-      iSCSI target per replica, ``asyncio`` = every replica target
-      multiplexed on one event-loop thread — all three byte-identical on
-      the wire) and ``workers`` picks how the pipelined fan-out scheduler
-      drives links (``inline`` = the caller's thread, ``threads`` = one
-      worker thread per replica channel, overlapping real link waits);
+      (``inline`` = in-process calls, ``asyncio`` = one iSCSI target per
+      replica over TCP, every target multiplexed on one event-loop
+      thread — both byte-identical on the wire) and ``workers`` picks
+      how the pipelined fan-out scheduler drives links (``inline`` = the
+      caller's thread, ``threads`` = one worker thread per replica
+      channel, overlapping real link waits);
     * **scale-out** — ``read_policy`` (``primary`` = every read served
       locally, ``replica``/``least_loaded`` = conflict-free reads routed
       across healthy replicas, :mod:`repro.engine.router`) and
@@ -449,10 +448,10 @@ class PrimaryStack:
     links: list[ReplicaLink]
     config: ReplicationConfig
     telemetry: Any = NULL_TELEMETRY
-    #: per-replica iSCSI targets when ``transport != "inline"``
-    servers: list[Any] = field(default_factory=list)
-    #: the shared event loop hosting asyncio targets (``transport="asyncio"``)
-    loop_thread: Any = None
+    #: per-replica iSCSI targets when ``transport="asyncio"``
+    servers: list[AsyncTargetServer] = field(default_factory=list)
+    #: the shared event loop hosting those targets
+    loop_thread: EventLoopThread | None = None
 
     def __enter__(self) -> "PrimaryStack":
         """Enter: nothing to do — construction already wired everything."""
@@ -471,11 +470,7 @@ class PrimaryStack:
         """
         self.engine.close()
         for server in self.servers:
-            stop_background = getattr(server, "stop_background", None)
-            if stop_background is not None:
-                stop_background()
-            else:
-                server.close()
+            server.stop_background()
         self.servers = []
         if self.loop_thread is not None:
             self.loop_thread.close()
@@ -570,9 +565,9 @@ def open_primary(
     replica_devices: list[MemoryBlockDevice] = []
     replica_engines: list[ReplicaEngine] = []
     links: list[ReplicaLink] = []
-    servers: list[Any] = []
+    servers: list[AsyncTargetServer] = []
     loop_thread = (
-        EventLoopThread() if config.transport == "asyncio" else None
+        EventLoopThread() if config.transport != "inline" else None
     )
     if stripe is not None:
         # erasure tier: n fragment holders, block_size/k bytes per block
@@ -647,34 +642,26 @@ def _replica_channel(
     config: ReplicationConfig,
     replica_engine: ReplicaEngine,
     replica_device: MemoryBlockDevice,
-    servers: list[Any],
-    loop_thread: "EventLoopThread | None",
+    servers: list[AsyncTargetServer],
+    loop_thread: EventLoopThread | None,
 ) -> ReplicaLink:
     """Wire one replica behind the configured transport tier.
 
-    ``inline`` returns a :class:`~repro.engine.links.DirectLink`; the
-    networked tiers stand up a per-replica iSCSI target (threaded
-    :class:`~repro.iscsi.target.TargetServer` for ``tcp``, an
-    :class:`~repro.iscsi.aio.AsyncTargetServer` multiplexed on the shared
-    ``loop_thread`` for ``asyncio``) with the replica engine installed as
-    its replication handler, and dial it with a blocking initiator
-    session.  All three tiers ship byte-identical PDUs, so accounting and
-    replica images match the inline baseline exactly.
+    ``inline`` returns a :class:`~repro.engine.links.DirectLink`;
+    ``asyncio`` stands up a per-replica
+    :class:`~repro.iscsi.aio.AsyncTargetServer` on the shared
+    ``loop_thread`` with the replica engine installed as its replication
+    handler, and dials it with a blocking initiator session.  Both tiers
+    ship byte-identical PDUs, so accounting and replica images match the
+    inline baseline exactly.
     """
     if config.transport == "inline":
         return DirectLink(replica_engine)
-    if config.transport == "tcp":
-        server: Any = TargetServer(
-            replica_device,
-            replication_handler=replica_engine.receive,
-            batch_handler=replica_engine.receive_batch,
-        ).start()
-    else:  # asyncio — every server shares the one loop thread
-        server = AsyncTargetServer(
-            replica_device,
-            replication_handler=replica_engine.receive,
-            batch_handler=replica_engine.receive_batch,
-        ).serve_background(loop_thread)
+    server = AsyncTargetServer(
+        replica_device,
+        replication_handler=replica_engine.receive,
+        batch_handler=replica_engine.receive_batch,
+    ).serve_background(loop_thread)
     servers.append(server)
     host, port = server.address
     return InitiatorLink(Initiator(TcpTransport.connect(host, port)))
@@ -822,8 +809,8 @@ def open_cluster(
     config = _override_scaleout(config, shards, read_policy)
     if config.transport != "inline":
         raise ConfigurationError(
-            "open_cluster wires its nodes in-process; the tcp/asyncio "
-            "transport tiers apply to open_primary only"
+            "open_cluster wires its nodes in-process; the asyncio "
+            "transport tier applies to open_primary only"
         )
     return StorageCluster(
         config.cluster_config(),

@@ -580,11 +580,11 @@ def main(argv: list[str] | None = None) -> int:
     p_demo.add_argument(
         "--transport",
         default=None,
-        choices=["inline", "tcp", "asyncio"],
+        choices=["inline", "asyncio"],
         help=(
-            "replica transport tier: in-process links (default), "
-            "thread-per-session TCP targets, or one asyncio event loop "
-            "multiplexing every target (all byte-identical on the wire)"
+            "replica transport tier: in-process links (default) or one "
+            "iSCSI target per replica over TCP, every target multiplexed "
+            "on one asyncio event loop (byte-identical on the wire)"
         ),
     )
     p_demo.add_argument(

@@ -14,24 +14,18 @@ initiator/target pair between PRINS-engines for replication traffic
   replication opcode that the PRINS replica engine hooks;
 * :mod:`repro.iscsi.initiator` — the client side (login, READ/WRITE,
   replication frames, logout);
-* :mod:`repro.iscsi.aio` — the asyncio tier: one event-loop thread
-  multiplexing thousands of sessions as tasks instead of threads, wire
-  bytes identical to the threaded server.
+* :mod:`repro.iscsi.aio` — the networked server: one event-loop thread
+  multiplexing thousands of TCP sessions as tasks instead of threads.
 
 Scope: login/logout and the full-feature phase commands needed by the
 engines.  No CHAP, no multi-connection sessions, no task management — see
 DESIGN.md Sec. 6.
 """
 
-from repro.iscsi.aio import (
-    AsyncInitiator,
-    AsyncTargetServer,
-    AsyncTcpTransport,
-    EventLoopThread,
-)
+from repro.iscsi.aio import AsyncTargetServer, EventLoopThread
 from repro.iscsi.initiator import Initiator
 from repro.iscsi.pdu import Opcode, Pdu
-from repro.iscsi.target import Target, TargetServer
+from repro.iscsi.target import Target
 from repro.iscsi.transport import (
     InProcessTransport,
     TcpTransport,
@@ -40,16 +34,13 @@ from repro.iscsi.transport import (
 )
 
 __all__ = [
-    "AsyncInitiator",
     "AsyncTargetServer",
-    "AsyncTcpTransport",
     "EventLoopThread",
     "InProcessTransport",
     "Initiator",
     "Opcode",
     "Pdu",
     "Target",
-    "TargetServer",
     "TcpTransport",
     "Transport",
     "transport_pair",

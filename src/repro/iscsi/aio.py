@@ -1,55 +1,55 @@
-"""Asyncio transport tier: one process, thousands of iSCSI sessions.
+"""The networked iSCSI target: one event loop, thousands of sessions.
 
-The thread-per-connection :class:`~repro.iscsi.target.TargetServer` burns
-an OS thread (and its stack) per initiator, which caps how many replica
-sessions one node can serve.  This module rebuilds the wire layer on
-:mod:`asyncio` streams:
+:class:`AsyncTargetServer` serves replica traffic over real TCP sockets
+on :mod:`asyncio` streams, so a session costs a task, not an OS thread:
 
-* :class:`AsyncTargetServer` multiplexes every connection on one event
-  loop.  Each connection gets its own :class:`~repro.iscsi.target.Target`
-  protocol engine — the *same* synchronous state machine the threaded
-  server drives, invoked PDU-by-PDU from the reader coroutine — so the
-  response bytes are identical to the threaded server's by construction;
+* every connection gets its own :class:`~repro.iscsi.target.Target`
+  protocol engine — the *same* synchronous state machine the in-process
+  ``Target.serve`` loop drives, invoked PDU-by-PDU from the reader
+  coroutine — so the response bytes are identical by construction;
 * per-connection PDU framing is strictly ordered: one reader coroutine
   reads a 48-byte BHS with ``readexactly``, then the data segment, then
   writes the response and awaits ``drain()`` — the flow-controlled write
   that turns a slow initiator into backpressure on exactly that session
   instead of unbounded buffering;
+* a malformed PDU or a failing handler ends only its own session: the
+  error is logged and the connection dropped, the server keeps serving;
 * shutdown is cancellation, not abandonment: :meth:`AsyncTargetServer.stop`
   closes the listener, cancels every live session task, and awaits them,
-  so no connection outlives the server;
-* :class:`AsyncTcpTransport` / :class:`AsyncInitiator` are the client-side
-  mirrors, for callers already living on an event loop.
+  so no connection outlives the server.
 
-Sync callers (the API facade, tests, benchmarks) host the loop in a
-daemon thread via :class:`EventLoopThread`; ``serve_background`` /
-``stop_background`` wrap the coroutine round-trips.
+Clients are the blocking :class:`~repro.iscsi.initiator.Initiator` over
+:class:`~repro.iscsi.transport.TcpTransport`.  Sync callers (the API
+facade, tests, benchmarks) host the loop in a daemon thread via
+:class:`EventLoopThread`; ``serve_background`` / ``stop_background``
+wrap the coroutine round-trips.
 
 Telemetry: accepts emit a ``transport.accept`` span and tick
 ``transport.accepts`` / the ``transport.sessions`` gauge, so
-``prins trace critical`` can attribute connection-setup time; per-PDU
-byte counters share the same ``transport.*`` names as the blocking tier.
+``prins trace critical`` can attribute connection-setup time; response
+sizes land in the same ``transport.sent_pdu_bytes`` histogram as the
+blocking transport's.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
-from typing import Iterable
 
 from repro.block.device import BlockDevice
-from repro.common.errors import LoginError, ProtocolError
-from repro.iscsi.pdu import BHS_SIZE, Opcode, Pdu, ScsiOp, Status
+from repro.common.errors import ProtocolError, ReproError
+from repro.iscsi.pdu import BHS_SIZE, Opcode, Pdu
 from repro.iscsi.target import BatchHandler, ReplicationHandler, Target
 from repro.obs.registry import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
 from repro.obs.telemetry import NULL_TELEMETRY
 
 __all__ = [
-    "AsyncInitiator",
     "AsyncTargetServer",
-    "AsyncTcpTransport",
     "EventLoopThread",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 class EventLoopThread:
@@ -58,8 +58,7 @@ class EventLoopThread:
     Lets synchronous code own asyncio servers: ``run(coro)`` submits a
     coroutine and blocks for its result.  One loop thread can host many
     :class:`AsyncTargetServer` instances — that is exactly the
-
-    single-process multiplexing the tier exists for.
+    single-process multiplexing the server exists for.
     """
 
     def __init__(self, name: str = "prins-aio") -> None:
@@ -103,257 +102,15 @@ async def _read_pdu(reader: asyncio.StreamReader) -> Pdu:
     return pdu
 
 
-class AsyncTcpTransport:
-    """Asyncio-stream PDU pipe — the event-loop twin of ``TcpTransport``.
-
-    Byte/PDU counters mirror the blocking transport's so wire accounting
-    is comparable across tiers; ``send`` awaits ``drain()``, making the
-    stream's flow control the sender's backpressure.
-    """
-
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._closed = False
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.pdus_sent = 0
-        self.pdus_received = 0
-
-    @classmethod
-    async def connect(cls, host: str, port: int) -> "AsyncTcpTransport":
-        """Dial ``host:port`` and wrap the resulting stream pair."""
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer)
-
-    async def send(self, pdu: Pdu) -> None:
-        """Send one PDU and await the stream's flow-controlled drain."""
-        if self._closed:
-            raise ProtocolError("transport is closed")
-        raw = pdu.pack()
-        self._writer.write(raw)
-        await self._writer.drain()
-        self.bytes_sent += len(raw)
-        self.pdus_sent += 1
-
-    async def receive(self, timeout: float | None = None) -> Pdu:
-        """Await the next PDU (bounded by ``timeout`` when given)."""
-        if self._closed:
-            raise ProtocolError("transport is closed")
-        try:
-            if timeout is not None:
-                pdu = await asyncio.wait_for(_read_pdu(self._reader), timeout)
-            else:
-                pdu = await _read_pdu(self._reader)
-        except asyncio.IncompleteReadError:
-            raise ProtocolError("peer closed the transport") from None
-        self.bytes_received += pdu.wire_size
-        self.pdus_received += 1
-        return pdu
-
-    async def close(self) -> None:
-        """Close the stream and await the transport teardown."""
-        if self._closed:
-            return
-        self._closed = True
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown race
-            pass
-
-
-class AsyncInitiator:
-    """Async one-command-at-a-time iSCSI client (mirror of ``Initiator``).
-
-    Same session discipline, ITT matching, and wire bytes as the blocking
-    client — ``await`` replaces blocking on the socket, nothing else
-    changes on the wire.
-    """
-
-    def __init__(
-        self, transport: AsyncTcpTransport, timeout: float | None = 30.0
-    ) -> None:
-        self._transport = transport
-        self._timeout = timeout
-        self._itt = 0
-        self._cmd_sn = 0
-        self._logged_in = False
-        self.block_size: int | None = None
-        self.num_blocks: int | None = None
-
-    @property
-    def transport(self) -> AsyncTcpTransport:
-        """The underlying transport (exposes byte counters)."""
-        return self._transport
-
-    @property
-    def logged_in(self) -> bool:
-        """True after a successful :meth:`login`."""
-        return self._logged_in
-
-    @classmethod
-    async def connect(
-        cls, host: str, port: int, timeout: float | None = 30.0
-    ) -> "AsyncInitiator":
-        """Dial a target and return a not-yet-logged-in initiator."""
-        return cls(await AsyncTcpTransport.connect(host, port), timeout)
-
-    # -- session ------------------------------------------------------------
-
-    async def login(self, target_name: str = "") -> dict[str, str]:
-        """Log in; returns the target's negotiated parameters."""
-        response = await self._roundtrip(
-            Pdu(opcode=Opcode.LOGIN_REQUEST, data=target_name.encode("utf-8")),
-            expect=Opcode.LOGIN_RESPONSE,
-        )
-        params: dict[str, str] = {}
-        for pair in response.data.decode("utf-8").split(";"):
-            if "=" in pair:
-                key, value = pair.split("=", 1)
-                params[key] = value
-        self.block_size = int(params.get("BlockSize", 0)) or None
-        self.num_blocks = int(params.get("NumBlocks", 0)) or None
-        self._logged_in = True
-        return params
-
-    async def logout(self) -> None:
-        """Log out and close the transport."""
-        if self._logged_in:
-            await self._roundtrip(
-                Pdu(opcode=Opcode.LOGOUT_REQUEST),
-                expect=Opcode.LOGOUT_RESPONSE,
-            )
-            self._logged_in = False
-        await self._transport.close()
-
-    # -- SCSI ----------------------------------------------------------------
-
-    async def read(self, lba: int, count: int = 1) -> bytes:
-        """Read ``count`` blocks starting at ``lba``."""
-        response = await self._roundtrip(
-            Pdu(
-                opcode=Opcode.SCSI_COMMAND,
-                flags=int(ScsiOp.READ),
-                lba=lba,
-                transfer_length=count,
-            ),
-            expect=Opcode.SCSI_DATA_IN,
-        )
-        return response.data
-
-    async def write(self, lba: int, data: bytes) -> None:
-        """Write whole blocks starting at ``lba``."""
-        count = len(data) // self.block_size if self.block_size else 1
-        await self._roundtrip(
-            Pdu(
-                opcode=Opcode.SCSI_COMMAND,
-                flags=int(ScsiOp.WRITE),
-                lba=lba,
-                transfer_length=count,
-                data=data,
-            ),
-            expect=Opcode.SCSI_RESPONSE,
-        )
-
-    async def ping(self, payload: bytes = b"") -> bytes:
-        """NOP round-trip; returns the echoed payload."""
-        response = await self._roundtrip(
-            Pdu(opcode=Opcode.NOP_OUT, data=payload), expect=Opcode.NOP_IN
-        )
-        return response.data
-
-    # -- PRINS replication ----------------------------------------------------
-
-    async def send_replication_frame(
-        self, lba: int, frame: bytes, ctx=None
-    ) -> bytes:
-        """Ship one replication frame; returns the replica's ack payload."""
-        trace_id, parent_span = (
-            (0, 0) if ctx is None else (ctx.trace_id, ctx.span_id)
-        )
-        response = await self._roundtrip(
-            Pdu(
-                opcode=Opcode.REPL_DATA_OUT,
-                lba=lba,
-                trace_id=trace_id,
-                parent_span=parent_span,
-                data=frame,
-            ),
-            expect=Opcode.REPL_ACK,
-        )
-        return response.data
-
-    async def send_replication_batch(
-        self, payload: bytes, record_count: int, ctx=None
-    ) -> bytes:
-        """Ship a packed multi-segment batch; returns the batch ack payload."""
-        trace_id, parent_span = (
-            (0, 0) if ctx is None else (ctx.trace_id, ctx.span_id)
-        )
-        response = await self._roundtrip(
-            Pdu(
-                opcode=Opcode.REPL_BATCH_OUT,
-                transfer_length=record_count,
-                trace_id=trace_id,
-                parent_span=parent_span,
-                data=payload,
-            ),
-            expect=Opcode.REPL_BATCH_ACK,
-        )
-        return response.data
-
-    # -- plumbing -------------------------------------------------------------
-
-    async def _roundtrip(self, request: Pdu, expect: Opcode) -> Pdu:
-        self._itt += 1
-        self._cmd_sn += 1
-        request.itt = self._itt
-        request.seq = self._cmd_sn
-        await self._transport.send(request)
-        response = await self._transport.receive(timeout=self._timeout)
-        while response.itt < request.itt:
-            # stale response from an earlier exchange: drain by ITT, same
-            # as the blocking initiator
-            response = await self._transport.receive(timeout=self._timeout)
-        if response.itt != request.itt:
-            raise ProtocolError(
-                f"response ITT {response.itt} does not match "
-                f"request {request.itt}"
-            )
-        if response.opcode is not expect:
-            raise ProtocolError(
-                f"expected {expect!r}, got {response.opcode!r} "
-                f"(status {response.status:#04x})"
-            )
-        if response.status != Status.GOOD:
-            if response.opcode is Opcode.LOGIN_RESPONSE:
-                raise LoginError(
-                    f"login rejected with status {response.status:#04x}"
-                )
-            raise ProtocolError(
-                f"command failed with status {response.status:#04x}"
-            )
-        return response
-
-    async def __aenter__(self) -> "AsyncInitiator":
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.logout()
-
-
 class AsyncTargetServer:
     """Event-loop iSCSI target: every session is a task, not a thread.
 
     Each accepted connection runs :meth:`_serve_connection` — a fresh
     :class:`~repro.iscsi.target.Target` state machine fed PDUs in arrival
     order, its responses written back through the flow-controlled stream.
-    Because :meth:`Target.handle` is the same code the threaded server
-    calls, a given request sequence produces identical response bytes on
-    either tier.
+    Because :meth:`Target.handle` is the same code ``Target.serve`` runs
+    over an in-process transport, a given request sequence produces
+    identical response bytes on either path.
     """
 
     def __init__(
@@ -457,6 +214,12 @@ class AsyncTargetServer:
                     break
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             pass  # peer vanished mid-frame: drop the session
+        except ReproError as exc:
+            # malformed PDU or failing handler: end this session only
+            logger.warning(
+                "%s: dropping session after %s: %s",
+                self._name, type(exc).__name__, exc,
+            )
         finally:
             self._session_gauge.set(max(0, len(self._tasks) - 1))
             writer.close()
@@ -489,8 +252,11 @@ class AsyncTargetServer:
         The sync entry point used by ``open_primary(transport="asyncio")``
         and tests: the server runs on ``loop_thread`` (shared across many
         servers for true single-process multiplexing) and blocking
-        clients connect to :attr:`address` as usual.
+        clients connect to :attr:`address` as usual.  A stopped server
+        cannot be restarted.
         """
+        if self._closed:
+            raise ProtocolError("target server is closed")
         if loop_thread is None:
             loop_thread = EventLoopThread(name=f"aio-{self._name}")
             self._owns_loop = True
@@ -517,28 +283,3 @@ class AsyncTargetServer:
             "bytes_received": self.bytes_received,
             "pdus_served": self.pdus_served,
         }
-
-
-async def run_sessions(
-    host: str,
-    port: int,
-    scripts: "Iterable",
-    target_name: str = "",
-) -> list:
-    """Run many initiator scripts concurrently against one target.
-
-    Each ``script`` is an async callable taking a logged-in
-    :class:`AsyncInitiator`; its return value lands in the result list in
-    script order.  This is the ≥64-connection concurrency harness used by
-    the tests and the benchmark.
-    """
-
-    async def _one(script):
-        initiator = await AsyncInitiator.connect(host, port)
-        await initiator.login(target_name)
-        try:
-            return await script(initiator)
-        finally:
-            await initiator.logout()
-
-    return list(await asyncio.gather(*(_one(s) for s in scripts)))

@@ -109,9 +109,9 @@ class TestConcurrencyConfig:
         with pytest.raises(ConfigurationError):
             ReplicationConfig(workers="fibers")
         with pytest.raises(ConfigurationError):
-            ReplicationConfig(transport="tcp", resilient=True)
+            ReplicationConfig(transport="asyncio", resilient=True)
         with pytest.raises(ConfigurationError):
-            ReplicationConfig(transport="tcp", redundancy="erasure")
+            ReplicationConfig(transport="asyncio", redundancy="erasure")
         with pytest.raises(ConfigurationError):
             ReplicationConfig(transport="asyncio", shards=2)
 
@@ -123,11 +123,11 @@ class TestConcurrencyConfig:
 
     def test_cluster_rejects_networked_transport(self):
         with pytest.raises(ConfigurationError):
-            open_cluster(ReplicationConfig(transport="tcp", nodes=2))
+            open_cluster(ReplicationConfig(transport="asyncio", nodes=2))
 
-    @pytest.mark.parametrize("transport", ["tcp", "asyncio"])
+    @pytest.mark.parametrize("transport", ["asyncio"])
     def test_networked_facade_matches_inline(self, transport):
-        """tcp/asyncio stacks: replica images and ledger match inline."""
+        """asyncio stacks: replica images and ledger match inline."""
 
         def run(tier):
             config = ReplicationConfig(
@@ -145,7 +145,9 @@ class TestConcurrencyConfig:
         assert run(transport) == run("inline")
 
     def test_networked_stack_closes_servers(self):
-        config = ReplicationConfig(block_size=BS, num_blocks=N, transport="tcp")
+        config = ReplicationConfig(
+            block_size=BS, num_blocks=N, transport="asyncio"
+        )
         stack = open_primary(config)
         assert len(stack.servers) == 1
         _writes(stack.engine, count=4)

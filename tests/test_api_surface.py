@@ -101,12 +101,17 @@ ENGINE_REMOVED_EXPORTS = {
 }
 
 
-#: iscsi exports the asyncio transport tier added
+#: iscsi exports of the networked target
 ISCSI_AIO_EXPORTS = {
-    "AsyncInitiator",
     "AsyncTargetServer",
-    "AsyncTcpTransport",
     "EventLoopThread",
+}
+
+#: the thread-per-session target and the asyncio client, deleted
+ISCSI_REMOVED_EXPORTS = {
+    "AsyncInitiator",
+    "AsyncTcpTransport",
+    "TargetServer",
 }
 
 
@@ -153,7 +158,8 @@ def test_engine_exports_concurrency_surface():
 
 
 def test_removed_concurrency_knobs_are_rejected():
-    """The process-pool fields and the scheduler_mode alias do not load.
+    """The process-pool fields, the scheduler_mode alias and the
+    thread-per-session ``transport="tcp"`` tier do not load.
 
     The removed fields are rejected as unknown keys even at what used to
     be their default values.
@@ -164,6 +170,10 @@ def test_removed_concurrency_knobs_are_rejected():
             api.ReplicationConfig.from_dict(raw)
     with pytest.raises(ConfigurationError, match="workers"):
         api.ReplicationConfig(workers="process")
+    with pytest.raises(ConfigurationError, match="transport"):
+        api.ReplicationConfig(transport="tcp")
+    with pytest.raises(ConfigurationError, match="transport"):
+        api.ReplicationConfig.from_dict({"transport": "tcp"})
 
 
 def test_iscsi_exports_aio_surface():
@@ -173,6 +183,10 @@ def test_iscsi_exports_aio_surface():
     assert not missing, f"iscsi exports missing: {sorted(missing)}"
     for name in ISCSI_AIO_EXPORTS:
         assert hasattr(iscsi, name), f"repro.iscsi.{name} missing"
+    for name in ISCSI_REMOVED_EXPORTS:
+        for module in (iscsi, repro):
+            assert name not in module.__all__, f"{module.__name__}.{name}"
+            assert not hasattr(module, name), f"{module.__name__}.{name} is back"
 
 
 def test_open_primary_signature_is_stable():

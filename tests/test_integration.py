@@ -21,7 +21,7 @@ from repro.engine import (
     verify_consistency,
 )
 from repro.fs import FileSystem, tar_paths
-from repro.iscsi import Initiator, TargetServer, TcpTransport
+from repro.iscsi import AsyncTargetServer, Initiator, TcpTransport
 from repro.minidb import Column, ColumnType, Database, Schema
 from repro.raid import Raid5Array
 from repro.workloads import TpccConfig, TpccWorkload
@@ -101,9 +101,10 @@ class TestTpccOverTcpIscsi:
         replica_dev = MemoryBlockDevice(BS, 2048)
         strategy = make_strategy("prins")
         replica_engine = ReplicaEngine(replica_dev, strategy)
-        with TargetServer(
+        server = AsyncTargetServer(
             replica_dev, replication_handler=replica_engine.receive
-        ) as server:
+        ).serve_background()
+        try:
             host, port = server.address
             initiator = Initiator(TcpTransport.connect(host, port), timeout=10)
             primary_dev = MemoryBlockDevice(BS, 2048)
@@ -127,6 +128,8 @@ class TestTpccOverTcpIscsi:
             data = engine.accountant.data_bytes
             assert 0 < wire < data  # PRINS moved less than the data written
             initiator.logout()
+        finally:
+            server.stop_background()
 
 
 class TestFilesystemOverCompressed:

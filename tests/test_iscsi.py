@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from repro.block import MemoryBlockDevice
 from repro.common.errors import ProtocolError
 from repro.iscsi import (
+    AsyncTargetServer,
     Initiator,
     Opcode,
     Pdu,
     Target,
-    TargetServer,
     TcpTransport,
     transport_pair,
 )
@@ -163,7 +163,7 @@ class TestSession:
     def test_replication_frame_dispatched(self):
         seen = []
 
-        def handler(lba, frame):
+        def handler(lba, frame, ctx=None):
             seen.append((lba, frame))
             return b"ack-payload"
 
@@ -188,45 +188,46 @@ class TestSession:
         assert not initiator.logged_in
 
 
+@pytest.fixture
+def tcp_server():
+    server = AsyncTargetServer(MemoryBlockDevice(BS, 16)).serve_background()
+    yield server
+    server.stop_background()
+
+
 class TestTcp:
-    def test_full_session_over_sockets(self):
-        device = MemoryBlockDevice(BS, 16)
-        with TargetServer(device) as server:
-            host, port = server.address
-            initiator = Initiator(TcpTransport.connect(host, port), timeout=5)
+    def test_full_session_over_sockets(self, tcp_server):
+        host, port = tcp_server.address
+        initiator = Initiator(TcpTransport.connect(host, port), timeout=5)
+        initiator.login()
+        initiator.write(1, b"t" * BS)
+        assert initiator.read(1) == b"t" * BS
+        assert initiator.transport.bytes_sent > 0
+        initiator.logout()
+
+    def test_multiple_concurrent_sessions(self, tcp_server):
+        host, port = tcp_server.address
+        initiators = [
+            Initiator(TcpTransport.connect(host, port), timeout=5)
+            for _ in range(3)
+        ]
+        for i, initiator in enumerate(initiators):
             initiator.login()
-            initiator.write(1, b"t" * BS)
-            assert initiator.read(1) == b"t" * BS
-            assert initiator.transport.bytes_sent > 0
+            initiator.write(i, bytes([i]) * BS)
+        for i, initiator in enumerate(initiators):
+            assert initiator.read(i) == bytes([i]) * BS
             initiator.logout()
 
-    def test_multiple_concurrent_sessions(self):
-        device = MemoryBlockDevice(BS, 16)
-        with TargetServer(device) as server:
-            host, port = server.address
-            initiators = [
-                Initiator(TcpTransport.connect(host, port), timeout=5)
-                for _ in range(3)
-            ]
-            for i, initiator in enumerate(initiators):
-                initiator.login()
-                initiator.write(i, bytes([i]) * BS)
-            for i, initiator in enumerate(initiators):
-                assert initiator.read(i) == bytes([i]) * BS
-                initiator.logout()
-
-    def test_itt_matching_enforced(self):
+    def test_itt_matching_enforced(self, tcp_server):
         """Responses must carry the request's task tag."""
-        device = MemoryBlockDevice(BS, 16)
-        with TargetServer(device) as server:
-            host, port = server.address
-            initiator = Initiator(TcpTransport.connect(host, port), timeout=5)
-            initiator.login()
-            # normal operation keeps tags in sync; just exercise several ops
-            for lba in range(5):
-                initiator.write(lba, bytes([lba + 1]) * BS)
-                assert initiator.read(lba) == bytes([lba + 1]) * BS
-            initiator.logout()
+        host, port = tcp_server.address
+        initiator = Initiator(TcpTransport.connect(host, port), timeout=5)
+        initiator.login()
+        # normal operation keeps tags in sync; just exercise several ops
+        for lba in range(5):
+            initiator.write(lba, bytes([lba + 1]) * BS)
+            assert initiator.read(lba) == bytes([lba + 1]) * BS
+        initiator.logout()
 
 
 class TestStatusCodes:
